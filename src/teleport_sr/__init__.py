@@ -14,12 +14,11 @@ from .analysis import (
     OptimalNoise,
     SweepResult,
     TheoremLimitReport,
-    TrialRecord,
+    analytic_at,
     analytic_fidelity,
     default_scale_grid,
     estimate_fidelity,
     find_optimal_noise,
-    simulate_trial,
     sweep,
     theorem_limit_check,
 )
@@ -32,7 +31,6 @@ from .channel import (
     encode,
     forbidden_interval,
     sr_predicted,
-    transmit_bit,
     transmit_bits,
 )
 from .noise import (

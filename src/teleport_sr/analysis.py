@@ -29,31 +29,31 @@ from .channel import (
     detection_probabilities,
     forbidden_interval,
     sr_predicted,
-    transmit_bit,
     transmit_bits,
 )
 from .noise import NoiseModel, classify
-from .qstate import BellBits, QubitState, bell_measure, pauli_weights
+from .qstate import QubitState, bell_measure, pauli_weights
 
 __all__ = [
     "EntanglementResource",
-    "TrialRecord",
     "SweepResult",
     "OptimalNoise",
     "TheoremLimitReport",
     "MonotoneRegimeError",
     "analytic_fidelity",
-    "simulate_trial",
+    "analytic_at",
     "estimate_fidelity",
     "sweep",
     "find_optimal_noise",
     "theorem_limit_check",
     "default_scale_grid",
+    "check_scales",
 ]
 
 _ATOL = 1e-12
 
-CSV_HEADER = "scale,scale_squared,analytic_f,mc_mean,mc_min,mc_max,mc_smoothed"
+COLUMNS = ("scale", "scale_squared", "analytic_f", "mc_mean", "mc_min", "mc_max", "mc_smoothed")
+CSV_HEADER = ",".join(COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,6 @@ class EntanglementResource:
     def __post_init__(self):
         if not 0.0 <= self.werner_f <= 1.0:
             raise ValueError(f"werner_f must be in [0, 1], got {self.werner_f}")
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One protocol trial: measured bits, detected bits, trial fidelity."""
-
-    s: BellBits
-    y: BellBits
-    fidelity: float
 
 
 class OptimalNoise(NamedTuple):
@@ -116,23 +107,10 @@ def analytic_fidelity(weights, p: float, resource: EntanglementResource = Entang
     return 0.5 + resource.werner_f * gain
 
 
-def simulate_trial(state: QubitState, config: ChannelConfig, noise: NoiseModel,
-                   resource: EntanglementResource, rng: np.random.Generator) -> TrialRecord:
-    """Run one protocol trial: measure, transmit both bits, score the overlap.
-
-    The trial fidelity is computed exactly from the net correction bits
-    (y xor s) instead of sampling Bob's final measurement; the expectation is
-    unchanged and the estimator variance strictly smaller.
-    """
-    s = bell_measure(rng)
-    y = BellBits(
-        transmit_bit(s.s1, config, noise, rng),
-        transmit_bit(s.s2, config, noise, rng),
-    )
-    table = pauli_weights(state).overlap_table()
-    overlap = float(table[2 * (y.s1 ^ s.s1) + (y.s2 ^ s.s2)])
-    fidelity = resource.werner_f * overlap + (1.0 - resource.werner_f) / 2.0
-    return TrialRecord(s=s, y=y, fidelity=fidelity)
+def analytic_at(weights, config: ChannelConfig, model: NoiseModel,
+                resource: EntanglementResource) -> float:
+    """:func:`analytic_fidelity` for the detection probabilities of ``config`` under ``model``."""
+    return analytic_fidelity(weights, detection_probabilities(config, model).P, resource)
 
 
 def estimate_fidelity(state: QubitState, config: ChannelConfig, noise: NoiseModel,
@@ -141,19 +119,38 @@ def estimate_fidelity(state: QubitState, config: ChannelConfig, noise: NoiseMode
     """Mean trial fidelity over ``trials`` independent protocol trials.
 
     Vectorized: draws the measurement bits in two blocks, then the channel
-    noise in two blocks.  Converges to :func:`analytic_fidelity` as the trial
-    count grows.
+    noise in two blocks.  Each trial's fidelity is computed exactly from the
+    net correction bits (y xor s) instead of sampling Bob's final
+    measurement; the expectation is unchanged and the variance smaller.
+    Converges to :func:`analytic_fidelity` as the trial count grows.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     table = pauli_weights(state).overlap_table()
-    s1 = rng.integers(0, 2, trials)
-    s2 = rng.integers(0, 2, trials)
-    y1 = transmit_bits(s1, config, noise, rng)
-    y2 = transmit_bits(s2, config, noise, rng)
-    overlap = table[2 * (y1 ^ s1) + (y2 ^ s2)]
+    s = bell_measure(rng, trials)
+    y1 = transmit_bits(s.s1, config, noise, rng)
+    y2 = transmit_bits(s.s2, config, noise, rng)
+    overlap = table[2 * (y1 ^ s.s1) + (y2 ^ s.s2)]
     per_trial = resource.werner_f * overlap + (1.0 - resource.werner_f) / 2.0
     return float(per_trial.mean())
+
+
+def check_scales(values, where: str, descending: bool = False) -> tuple[float, ...]:
+    """Validate a noise-scale grid: non-empty, finite, positive, strictly monotone.
+
+    Returns the grid as a tuple of floats.  A ``descending`` grid must fall
+    toward 0.  Errors name the grid as ``where``.
+    """
+    scales = tuple(float(v) for v in values)
+    if not scales:
+        raise ValueError(f"{where} must be a non-empty grid of positive scales")
+    if not all(0 < s < math.inf for s in scales):
+        raise ValueError(f"{where} must be positive and finite")
+    pairs = zip(scales[1:], scales) if descending else zip(scales, scales[1:])
+    if any(b <= a for a, b in pairs):
+        order = "strictly descend toward 0" if descending else "be strictly increasing"
+        raise ValueError(f"{where} must {order}")
+    return scales
 
 
 def default_scale_grid(count: int = 60, lo: float = 0.01, hi: float = 3.0) -> tuple[float, ...]:
@@ -186,13 +183,8 @@ class SweepResult:
     metadata: dict = field(compare=False)
 
     def __post_init__(self):
+        check_scales(self.scales, "scales")
         n = len(self.scales)
-        if n == 0:
-            raise ValueError("sweep result must contain at least one scale")
-        if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
-            raise ValueError("scales must be strictly increasing")
-        if min(self.scales) <= 0:
-            raise ValueError("scales must be positive")
         for name in ("analytic_f", "mc_mean", "mc_min", "mc_max", "mc_smoothed"):
             col = getattr(self, name)
             if len(col) != n:
@@ -204,29 +196,19 @@ class SweepResult:
             if min(col) < lo or max(col) > 1.0 + _ATOL:
                 raise ValueError(f"{name} leaves the feasible fidelity band [{lo}, 1]")
 
+    def rows(self) -> list[tuple[float, ...]]:
+        """One tuple per scale, holding the values of :data:`COLUMNS` in order."""
+        return [(s, s * s, *rest) for s, *rest in zip(
+            self.scales, self.analytic_f, self.mc_mean, self.mc_min, self.mc_max,
+            self.mc_smoothed)]
+
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for i, s in enumerate(self.scales):
-            lines.append(",".join(repr(v) for v in (
-                s, s * s, self.analytic_f[i], self.mc_mean[i],
-                self.mc_min[i], self.mc_max[i], self.mc_smoothed[i],
-            )))
+        lines = [CSV_HEADER] + [",".join(map(repr, row)) for row in self.rows()]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        rows = [
-            {
-                "scale": s,
-                "scale_squared": s * s,
-                "analytic_f": self.analytic_f[i],
-                "mc_mean": self.mc_mean[i],
-                "mc_min": self.mc_min[i],
-                "mc_max": self.mc_max[i],
-                "mc_smoothed": self.mc_smoothed[i],
-            }
-            for i, s in enumerate(self.scales)
-        ]
-        return {"metadata": self.metadata, "rows": rows}
+        return {"metadata": self.metadata,
+                "rows": [dict(zip(COLUMNS, row)) for row in self.rows()]}
 
 
 def _cell_rng(master_seed: int, scale_index: int, run_index: int) -> np.random.Generator:
@@ -249,13 +231,7 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
     ``trials_per_run`` trials on its own derived stream; output is identical
     for any ``workers`` value.
     """
-    scales = [float(s) for s in scales]
-    if not scales:
-        raise ValueError("scale grid must not be empty")
-    if any(s <= 0 for s in scales):
-        raise ValueError("scales must be positive")
-    if any(b <= a for a, b in zip(scales, scales[1:])):
-        raise ValueError("scales must be strictly increasing")
+    scales = check_scales(scales, "scales")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if smoothing_window < 1 or smoothing_window % 2 == 0:
@@ -267,14 +243,13 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
 
     def one_scale(i: int):
         model = noise_family.with_scale(scales[i])
-        stats = detection_probabilities(config, model)
-        analytic = analytic_fidelity(weights, stats.P, resource)
+        analytic = analytic_at(weights, config, model, resource)
         estimates = np.array([
             estimate_fidelity(state, config, model, resource, trials_per_run,
                               _cell_rng(master_seed, i, j))
             for j in range(runs)
         ])
-        return analytic, estimates, stats.cdf_exact
+        return analytic, estimates
 
     if workers == 1:
         per_scale = [one_scale(i) for i in range(len(scales))]
@@ -282,9 +257,8 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_scale = list(pool.map(one_scale, range(len(scales))))
 
-    analytic = np.array([a for a, _, _ in per_scale])
-    estimates = np.stack([e for _, e, _ in per_scale])
-    cdf_exact = all(flag for _, _, flag in per_scale)
+    analytic = [a for a, _ in per_scale]
+    estimates = np.stack([e for _, e in per_scale])
     mc_mean = estimates.mean(axis=1)
 
     metadata = {
@@ -298,13 +272,13 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
         "trials_per_run": trials_per_run,
         "smoothing_window": smoothing_window,
         "master_seed": master_seed,
-        "cdf_exact": cdf_exact,
+        "cdf_exact": noise_family.has_exact_cdf,
         # 6-sigma feasibility band for a mean of trials_per_run values in [0, 1].
         "mc_tolerance": 3.0 / math.sqrt(trials_per_run),
     }
     return SweepResult(
-        scales=tuple(scales),
-        analytic_f=tuple(float(v) for v in analytic),
+        scales=scales,
+        analytic_f=tuple(analytic),
         mc_mean=tuple(float(v) for v in mc_mean),
         mc_min=tuple(float(v) for v in estimates.min(axis=1)),
         mc_max=tuple(float(v) for v in estimates.max(axis=1)),
@@ -346,14 +320,11 @@ def find_optimal_noise(state: QubitState, config: ChannelConfig, noise_family: N
     """
     if not sr_predicted(config, noise_family):
         raise MonotoneRegimeError(classify(noise_family).center, forbidden_interval(config))
-    lo, hi = scale_bounds
-    if not 0 < lo < hi:
-        raise ValueError(f"scale bounds must satisfy 0 < lo < hi, got {scale_bounds}")
+    lo, hi = check_scales(scale_bounds, "scale bounds (lo, hi)")
     weights = pauli_weights(state)
 
     def objective(s: float) -> float:
-        stats = detection_probabilities(config, noise_family.with_scale(s))
-        return analytic_fidelity(weights, stats.P, resource)
+        return analytic_at(weights, config, noise_family.with_scale(s), resource)
 
     scale, fidelity = _golden_section_max(objective, lo, hi)
     return OptimalNoise(scale=scale, fidelity=fidelity)
@@ -388,24 +359,15 @@ def theorem_limit_check(state: QubitState, config: ChannelConfig, noise_family: 
     at the smallest scale against the limit the forbidden-interval position
     dictates.
     """
-    scales = [float(s) for s in small_scales]
-    if not scales or any(s <= 0 for s in scales):
-        raise ValueError("small_scales must be positive")
-    if any(b >= a for a, b in zip(scales, scales[1:])):
-        raise ValueError("small_scales must strictly descend toward 0")
+    scales = check_scales(small_scales, "small_scales", descending=True)
     weights = pauli_weights(state)
     interval = forbidden_interval(config)
     center = classify(noise_family).center
     inside = interval.contains_open(center)
-    values = [
-        analytic_fidelity(
-            weights, detection_probabilities(config, noise_family.with_scale(s)).P, resource
-        )
-        for s in scales
-    ]
+    values = [analytic_at(weights, config, noise_family.with_scale(s), resource) for s in scales]
     expected = 1.0 if inside else 0.5
     return TheoremLimitReport(
-        scales=tuple(scales),
+        scales=scales,
         analytic_f=tuple(values),
         center=center,
         interval=(interval.lo, interval.hi),

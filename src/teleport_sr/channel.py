@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .noise import NoiseModel, classify
+from .noise import NoiseModel, classify, finite_real
 
 __all__ = [
     "ChannelConfig",
@@ -22,7 +22,6 @@ __all__ = [
     "Interval",
     "encode",
     "detect",
-    "transmit_bit",
     "transmit_bits",
     "detection_probabilities",
     "forbidden_interval",
@@ -109,25 +108,13 @@ def encode(bit, config: ChannelConfig):
     return config.amplitude * (2 * bit - 1)
 
 
-def detect(received, config: ChannelConfig):
-    """1 iff the received value strictly exceeds the threshold.
+def detect(received, config: ChannelConfig) -> np.ndarray:
+    """1 iff the received value strictly exceeds the threshold, as int64 array.
 
     A value exactly at the threshold counts as 0 (a zero-measure event for
     continuous noise; the convention is fixed for reproducibility).
     """
-    if np.ndim(received) == 0:
-        return int(received > config.threshold)
     return (np.asarray(received) > config.threshold).astype(np.int64)
-
-
-def transmit_bit(bit: int, config: ChannelConfig, noise: NoiseModel,
-                 rng: np.random.Generator, size: int | None = None):
-    """Send one bit through the noisy channel and threshold-detect it.
-
-    With ``size`` set, sends that many independent copies of the same bit and
-    returns the detected bits as an array.
-    """
-    return detect(encode(bit, config) + noise.sample(rng, size), config)
 
 
 def transmit_bits(bits: np.ndarray, config: ChannelConfig, noise: NoiseModel,
@@ -183,8 +170,8 @@ def channel_from_json(spec) -> ChannelConfig:
     if unknown:
         raise ValueError(f"unknown channel keys: {sorted(unknown)}")
     try:
-        amplitude = float(params["amplitude"])
-        threshold = float(params["threshold"])
+        amplitude = float(finite_real(params["amplitude"], "channel.amplitude"))
+        threshold = float(finite_real(params["threshold"], "channel.threshold"))
     except KeyError as exc:
         raise ValueError(f"channel spec missing key {exc.args[0]!r}") from None
     allow = params.get("allow_suprathreshold", False)

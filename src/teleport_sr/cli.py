@@ -33,7 +33,8 @@ from .analysis import (
     EntanglementResource,
     MonotoneRegimeError,
     SweepResult,
-    analytic_fidelity,
+    analytic_at,
+    check_scales,
     default_scale_grid,
     estimate_fidelity,
     find_optimal_noise,
@@ -48,8 +49,15 @@ from .channel import (
     forbidden_interval,
     sr_predicted,
 )
-from .noise import NoiseModel, classify, noise_from_json, noise_to_json
-from .qstate import STATE_PRESETS, QubitState, pauli_weights
+from .noise import (
+    NoiseModel,
+    classify,
+    finite_real,
+    integer_at_least,
+    noise_from_json,
+    noise_to_json,
+)
+from .qstate import QubitState, pauli_weights
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,21 +93,15 @@ class RunConfig:
 
 
 def _parse_amplitude(value, where: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where} must be a number or [re, im] pair, got {value!r}")
+    """A number, or an ``[re, im]`` pair of numbers."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(finite_real(value[0], where), finite_real(value[1], where))
+    return complex(finite_real(value, where))
 
 
 def _parse_state(spec) -> QubitState:
     if isinstance(spec, str):
-        if spec not in STATE_PRESETS:
-            raise ConfigError(
-                f"unknown state preset {spec!r}; expected one of {sorted(STATE_PRESETS)}"
-            )
-        return STATE_PRESETS[spec]
+        return QubitState.preset(spec)
     if not isinstance(spec, dict):
         raise ConfigError("state must be a preset name or an object with alpha/beta")
     unknown = set(spec) - {"alpha", "beta", "normalize"}
@@ -112,10 +114,7 @@ def _parse_state(spec) -> QubitState:
     normalize = spec.get("normalize", False)
     if not isinstance(normalize, bool):
         raise ConfigError(f"state.normalize must be a boolean, got {normalize!r}")
-    try:
-        return QubitState.normalized(alpha, beta) if normalize else QubitState(alpha, beta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return QubitState.normalized(alpha, beta) if normalize else QubitState(alpha, beta)
 
 
 def _parse_resource(spec) -> EntanglementResource:
@@ -126,32 +125,13 @@ def _parse_resource(spec) -> EntanglementResource:
     unknown = set(spec) - {"werner_f"}
     if unknown:
         raise ConfigError(f"unknown resource keys: {sorted(unknown)}")
-    try:
-        return EntanglementResource(float(spec.get("werner_f", 1.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _positive_int(spec, key: str, default: int) -> int:
-    value = spec.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"sweep.{key} must be a positive integer, got {value!r}")
-    return value
+    return EntanglementResource(float(finite_real(spec.get("werner_f", 1.0), "resource.werner_f")))
 
 
 def _scale_list(values, where: str, descending: bool = False) -> tuple[float, ...]:
-    if (not isinstance(values, list) or not values
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
-        raise ConfigError(f"{where} must be a non-empty list of numbers")
-    out = tuple(float(v) for v in values)
-    if any(v <= 0 for v in out):
-        raise ConfigError(f"{where} must be positive")
-    step_ok = all(b < a for a, b in zip(out, out[1:])) if descending \
-        else all(b > a for a, b in zip(out, out[1:]))
-    if not step_ok:
-        order = "strictly decreasing" if descending else "strictly increasing"
-        raise ConfigError(f"{where} must be {order}")
-    return out
+    if not isinstance(values, list):
+        raise ConfigError(f"{where} must be a list of numbers")
+    return check_scales([finite_real(v, where) for v in values], where, descending)
 
 
 def _parse_sweep_section(spec):
@@ -167,13 +147,10 @@ def _parse_sweep_section(spec):
     bounds = (0.01, 3.0)
     if "bounds" in spec:
         raw = spec["bounds"]
-        if (not isinstance(raw, list) or len(raw) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)):
+        if not isinstance(raw, list) or len(raw) != 2:
             raise ConfigError("sweep.bounds must be [lo, hi]")
-        bounds = (float(raw[0]), float(raw[1]))
-        if not 0 < bounds[0] < bounds[1]:
-            raise ConfigError(f"sweep.bounds must satisfy 0 < lo < hi, got {list(bounds)}")
-    count = _positive_int(spec, "count", 60)
+        bounds = _scale_list(raw, "sweep.bounds")
+    count = integer_at_least(spec.get("count", 60), "sweep.count", 1)
     if "scales" in spec:
         scales = _scale_list(spec["scales"], "sweep.scales")
         bounds = (scales[0], scales[-1])
@@ -181,9 +158,9 @@ def _parse_sweep_section(spec):
             bounds = (scales[0] / 2, scales[0])
     else:
         scales = default_scale_grid(count, bounds[0], bounds[1])
-    runs = _positive_int(spec, "runs", 100)
-    trials = _positive_int(spec, "trials", 10_000)
-    window = _positive_int(spec, "window", 5)
+    runs = integer_at_least(spec.get("runs", 100), "sweep.runs", 1)
+    trials = integer_at_least(spec.get("trials", 10_000), "sweep.trials", 1)
+    window = integer_at_least(spec.get("window", 5), "sweep.window", 1)
     if window % 2 == 0:
         raise ConfigError(f"sweep.window must be odd, got {window}")
     small_scales = _DEFAULT_SMALL_SCALES
@@ -202,17 +179,16 @@ def parse_run_config(raw, seed_override: int | None = None) -> RunConfig:
     for key in ("state", "channel", "noise"):
         if key not in raw:
             raise ConfigError(f"config missing required key {key!r}")
-    state = _parse_state(raw["state"])
     try:
+        state = _parse_state(raw["state"])
         chan = channel_from_json(raw["channel"])
         model = noise_from_json(raw["noise"])
+        resource = _parse_resource(raw.get("resource"))
+        scales, bounds, runs, trials, window, small_scales = _parse_sweep_section(raw.get("sweep"))
+        seed = raw.get("seed", 0) if seed_override is None else seed_override
+        integer_at_least(seed, "seed", 0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    resource = _parse_resource(raw.get("resource"))
-    scales, bounds, runs, trials, window, small_scales = _parse_sweep_section(raw.get("sweep"))
-    seed = raw.get("seed", 0) if seed_override is None else seed_override
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     out_dir = raw.get("out_dir", ".")
     if not isinstance(out_dir, str):
         raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
@@ -309,8 +285,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     estimate = estimate_fidelity(
         cfg.state, cfg.channel, cfg.noise, cfg.resource, cfg.trials, _rng(cfg.seed)
     )
-    stats = detection_probabilities(cfg.channel, cfg.noise)
-    analytic = analytic_fidelity(pauli_weights(cfg.state), stats.P, cfg.resource)
+    analytic = analytic_at(pauli_weights(cfg.state), cfg.channel, cfg.noise, cfg.resource)
     _emit({
         "fidelity_estimate": estimate,
         "analytic_fidelity": analytic,
@@ -533,9 +508,6 @@ def main(argv=None) -> int:
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.seed is not None and args.seed < 0:
-        print("config error: seed must be a nonnegative integer", file=sys.stderr)
         return EXIT_CONFIG
     try:
         cfg = parse_run_config(raw, seed_override=args.seed)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -40,6 +41,8 @@ __all__ = [
     "classify",
     "noise_from_json",
     "noise_to_json",
+    "finite_real",
+    "integer_at_least",
 ]
 
 # Width of the dedicated alpha=1 sampling/CDF branch; avoids the
@@ -345,6 +348,25 @@ def classify(model: NoiseModel) -> NoiseClassification:
     return NoiseClassification(NoiseClass.FINITE_VARIANCE, model.center, model.variance)
 
 
+def finite_real(value, where: str):
+    """``value`` unchanged if it is a finite int or float; ValueError naming ``where`` else.
+
+    Booleans, strings and NaN are rejected, and so is anything a float cannot
+    hold: JSON parses ``Infinity`` and ``1e999`` as infinite floats.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max):
+        raise ValueError(f"{where} must be a number (finite, not a boolean), got {value!r}")
+    return value
+
+
+def integer_at_least(value, where: str, minimum: int) -> int:
+    """``value`` unchanged if it is an int (not a bool) >= ``minimum``; ValueError else."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 _NOISE_KINDS = {"gaussian": Gaussian, "uniform": Uniform, "laplace": Laplace,
                 "alpha_stable": AlphaStable}
 
@@ -364,10 +386,9 @@ def noise_from_json(spec) -> NoiseModel:
         raise ValueError(f"unknown {kind} noise keys: {sorted(unknown)}")
     for key, value in params.items():
         if key == "cdf_draws":
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"cdf_draws must be an integer, got {value!r}")
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError(f"noise parameter {key!r} must be a number, got {value!r}")
+            integer_at_least(value, "cdf_draws", 1)
+        else:
+            finite_real(value, f"noise parameter {key!r}")
     return cls(**params)
 
 

@@ -56,7 +56,8 @@ class QubitState:
 
     def __post_init__(self):
         norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm_sq - 1.0) > _ATOL:
+        # Written so that a NaN norm fails too.
+        if not abs(norm_sq - 1.0) <= _ATOL:
             raise ValueError(
                 f"state is not normalized: |alpha|^2 + |beta|^2 = {norm_sq!r}"
             )
@@ -118,10 +119,10 @@ class PauliWeights:
 
 
 class BellBits(NamedTuple):
-    """The two classical bits of one Bell measurement."""
+    """The two classical bits of a Bell measurement: ints, or int arrays for a batch."""
 
-    s1: int
-    s2: int
+    s1: "int | np.ndarray"
+    s2: "int | np.ndarray"
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,19 +160,16 @@ def pauli_weights(state: QubitState) -> PauliWeights:
     return PauliWeights(qx=float(qx), qz=float(qz), qxz=float(qxz))
 
 
-def bell_measure(rng: np.random.Generator, size: int | None = None):
-    """Draw Bell-measurement bits: two independent fair coins.
+def bell_measure(rng: np.random.Generator, size: int) -> BellBits:
+    """Draw ``size`` Bell measurements: two independent fair coins each.
 
     The full two-qubit measurement statistics reduce to exactly this (each of
     the four outcomes has probability 1/4 regardless of the input state), so
     no state vector is collapsed here; the equivalence is covered by a
-    brute-force collapse test.  Returns :class:`BellBits` for ``size=None``,
-    else an integer array of shape ``(size, 2)``.
+    brute-force collapse test.  All ``s1`` bits are drawn before all ``s2``
+    bits.
     """
-    draws = rng.integers(0, 2, size=(2,) if size is None else (size, 2))
-    if size is None:
-        return BellBits(int(draws[0]), int(draws[1]))
-    return draws
+    return BellBits(rng.integers(0, 2, size), rng.integers(0, 2, size))
 
 
 def corrected_state(state: QubitState, s: BellBits, y: BellBits) -> QubitState:

@@ -176,9 +176,9 @@ def test_criterion_07_measurement_bit_statistics():
     freq_err = 0.0
     for s1 in (0, 1):
         for s2 in (0, 1):
-            freq = float(np.mean((draws[:, 0] == s1) & (draws[:, 1] == s2)))
+            freq = float(np.mean((draws.s1 == s1) & (draws.s2 == s2)))
             freq_err = max(freq_err, abs(freq - 0.25))
-    corr = float(np.corrcoef(draws[:, 0], draws[:, 1])[0, 1])
+    corr = float(np.corrcoef(draws.s1, draws.s2)[0, 1])
     ok = freq_err < 0.0015 and abs(corr) < 0.004
     report(7, "measurement bit statistics", ok,
            f"max pair-frequency error {freq_err:.5f} (< 0.0015), |corr| {abs(corr):.5f} (< 0.004)")

@@ -19,7 +19,6 @@ from teleport_sr.analysis import (
     default_scale_grid,
     estimate_fidelity,
     find_optimal_noise,
-    simulate_trial,
     sweep,
     theorem_limit_check,
 )
@@ -133,46 +132,6 @@ class TestOracleEquivalence:
                 assert abs(via_rho - via_formula) <= 1e-12
 
 
-class TestSimulateTrial:
-    def test_record_satisfies_its_invariant(self):
-        rng = np.random.default_rng(8)
-        table = pauli_weights(PLUS).overlap_table()
-        for _ in range(200):
-            fw = float(rng.uniform(0, 1))
-            rec = simulate_trial(PLUS, REF_CHANNEL, Gaussian(0.0, 1.42),
-                                 EntanglementResource(fw), rng)
-            overlap = table[2 * (rec.y.s1 ^ rec.s.s1) + (rec.y.s2 ^ rec.s.s2)]
-            assert rec.fidelity == fw * overlap + (1 - fw) / 2
-
-    def test_fully_mixed_resource_pins_every_trial(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            rec = simulate_trial(PLUS, REF_CHANNEL, Gaussian(0.0, 1.42),
-                                 EntanglementResource(0.0), rng)
-            assert rec.fidelity == 0.5
-
-    def test_perfect_detection_gives_unit_fidelity(self):
-        # Narrow uniform noise centered in the interval detects perfectly,
-        # so the rotation always matches the measurement.
-        rng = np.random.default_rng(10)
-        noise = Uniform(1.6, 0.05)
-        for _ in range(100):
-            rec = simulate_trial(PLUS, REF_CHANNEL, noise, PERFECT, rng)
-            assert rec.y == rec.s
-            assert rec.fidelity == 1.0
-
-    def test_zero_noise_limit_averages_to_half(self):
-        rng = np.random.default_rng(11)
-        state = random_state(rng)
-        table = pauli_weights(state).overlap_table()
-        quiet = Gaussian(0.0, 1e-12)
-        records = [simulate_trial(state, REF_CHANNEL, quiet, PERFECT, rng) for _ in range(4000)]
-        assert all(rec.y == (0, 0) for rec in records)
-        assert all(rec.fidelity in set(float(t) for t in table) for rec in records)
-        # expectation over the uniform measurement bits is (1+qz+qx+qxz)/4 = 1/2
-        assert np.mean([rec.fidelity for rec in records]) == pytest.approx(0.5, abs=0.035)
-
-
 class TestEstimateFidelity:
     def test_gaussian_reference_point(self):
         rng = np.random.default_rng(12)
@@ -187,9 +146,39 @@ class TestEstimateFidelity:
 
     def test_fully_mixed_resource_is_exactly_half(self):
         rng = np.random.default_rng(14)
-        est = estimate_fidelity(PLUS, REF_CHANNEL, Gaussian(0.0, 1.42),
-                                EntanglementResource(0.0), 10_000, rng)
-        assert est == 0.5
+        for trials in (1, 7, 10_000):
+            est = estimate_fidelity(PLUS, REF_CHANNEL, Gaussian(0.0, 1.42),
+                                    EntanglementResource(0.0), trials, rng)
+            assert est == 0.5
+
+    def test_werner_mixing_is_affine(self):
+        # Same stream, so the same trials: each trial's fidelity is
+        # fw * overlap + (1 - fw) / 2, and so is their mean up to rounding.
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            fw = float(rng.uniform(0, 1))
+            seed = int(rng.integers(2**32))
+            pure, mixed = (
+                estimate_fidelity(PLUS, REF_CHANNEL, Gaussian(0.0, 1.42), resource, 200,
+                                  np.random.default_rng(seed))
+                for resource in (PERFECT, EntanglementResource(fw))
+            )
+            assert mixed == pytest.approx(fw * pure + (1 - fw) / 2, abs=1e-14)
+
+    def test_perfect_detection_gives_unit_fidelity(self):
+        # Narrow uniform noise centered in the interval detects perfectly,
+        # so the rotation always matches the measurement.
+        rng = np.random.default_rng(10)
+        assert estimate_fidelity(PLUS, REF_CHANNEL, Uniform(1.6, 0.05), PERFECT,
+                                 10_000, rng) == 1.0
+
+    def test_zero_noise_limit_averages_to_half(self):
+        # No detection, so the net correction is the measured bits themselves;
+        # over uniform bits the overlap averages (1 + qz + qx + qxz) / 4 = 1/2.
+        rng = np.random.default_rng(11)
+        state = random_state(rng)
+        est = estimate_fidelity(state, REF_CHANNEL, Gaussian(0.0, 1e-12), PERFECT, 4000, rng)
+        assert est == pytest.approx(0.5, abs=0.035)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):
@@ -244,6 +233,8 @@ class TestSweep:
             self.small(scales=[])
         with pytest.raises(ValueError, match="positive"):
             self.small(scales=[-0.1, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            self.small(scales=[0.5, math.nan])
         with pytest.raises(ValueError, match="increasing"):
             self.small(scales=[1.0, 0.5])
         with pytest.raises(ValueError, match="runs"):

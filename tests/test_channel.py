@@ -21,7 +21,6 @@ from teleport_sr.channel import (
     encode,
     forbidden_interval,
     sr_predicted,
-    transmit_bit,
     transmit_bits,
 )
 from teleport_sr.noise import AlphaStable, Gaussian, Laplace, Uniform
@@ -79,25 +78,20 @@ class TestTransmit:
         quiet = Gaussian(0.0, 1e-12)
         rng = np.random.default_rng(1)
         for bit in (0, 1):
-            out = transmit_bit(bit, REF_CHANNEL, quiet, rng, size=10_000)
+            out = transmit_bits(np.full(10_000, bit), REF_CHANNEL, quiet, rng)
             assert not out.any()
 
     def test_detection_rate_for_one(self):
         # p11 = 1 - Phi(0.5/1.42) = 0.3623768811: scipy-normal oracle
         rng = np.random.default_rng(2)
-        out = transmit_bit(1, REF_CHANNEL, Gaussian(0.0, 1.42), rng, size=1_000_000)
+        out = transmit_bits(np.full(1_000_000, 1), REF_CHANNEL, Gaussian(0.0, 1.42), rng)
         assert out.mean() == pytest.approx(0.36237688114362276, abs=0.002)
 
     def test_detection_rate_for_zero(self):
         # p10 = 1 - Phi(2.7/1.42) = 0.0286242668
         rng = np.random.default_rng(3)
-        out = transmit_bit(0, REF_CHANNEL, Gaussian(0.0, 1.42), rng, size=1_000_000)
+        out = transmit_bits(np.full(1_000_000, 0), REF_CHANNEL, Gaussian(0.0, 1.42), rng)
         assert out.mean() == pytest.approx(0.028624266751806293, abs=0.002)
-
-    def test_scalar_form_matches_stats(self):
-        rng = np.random.default_rng(4)
-        hits = sum(transmit_bit(1, REF_CHANNEL, Gaussian(0.0, 1.42), rng) for _ in range(20_000))
-        assert hits / 20_000 == pytest.approx(0.362377, abs=0.014)  # 4-sigma at n=2e4
 
     @pytest.mark.parametrize("model", [
         Gaussian(0.0, 1.42),
@@ -110,7 +104,7 @@ class TestTransmit:
         stats = detection_probabilities(REF_CHANNEL, model)
         n = 1_000_000
         for bit, expected in ((0, stats.p10), (1, stats.p11)):
-            freq = transmit_bit(bit, REF_CHANNEL, model, rng, size=n).mean()
+            freq = transmit_bits(np.full(n, bit), REF_CHANNEL, model, rng).mean()
             band = 4.0 * math.sqrt(max(expected * (1 - expected), 1e-12) / n)
             assert abs(freq - expected) < max(band, 1e-4)
 

@@ -367,6 +367,32 @@ class TestTopLevelErrors:
         code, _, err = run_cli(capsys, ["weights", "--config", str(path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("path, literal, field", [
+        (("noise", "mean"), "NaN", "'mean'"),
+        (("channel", "threshold"), "Infinity", "channel.threshold"),
+        (("channel", "threshold"), "1e999", "channel.threshold"),
+        (("channel", "threshold"), "1" + "0" * 400, "channel.threshold"),
+        (("channel", "threshold"), "true", "channel.threshold"),
+        (("channel", "amplitude"), '"1.1"', "channel.amplitude"),
+        (("resource", "werner_f"), '"0.5"', "resource.werner_f"),
+        (("state",), '{"alpha": NaN, "beta": 1}', "state.alpha"),
+        (("sweep", "scales"), "[NaN]", "sweep.scales"),
+    ], ids=["nan-mean", "inf-threshold", "1e999-threshold", "huge-int-threshold",
+            "bool-threshold", "string-amplitude", "string-werner-f", "nan-alpha",
+            "nan-scale"])
+    def test_non_finite_or_mistyped_number_exits_2(self, capsys, tmp_path, path, literal, field):
+        raw = base_config()
+        holder = raw
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = "@BAD@"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw).replace('"@BAD@"', literal))
+        code, out, err = run_cli(capsys, ["optimum", "--config", str(config)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert field in err
+
     def test_negative_seed_flag(self, capsys, config_path):
         code, _, err = run_cli(capsys, ["weights", "--config", config_path(base_config()),
                                         "--seed", "-1"])

@@ -63,6 +63,11 @@ class TestQubitState:
         with pytest.raises(ValueError, match="not normalized"):
             QubitState(0.6, 0.7)
 
+    def test_rejects_nan_amplitude(self):
+        for alpha, beta in ((float("nan"), 1), (1, complex(0, float("nan")))):
+            with pytest.raises(ValueError, match="not normalized"):
+                QubitState(alpha, beta)
+
     def test_normalized_constructor_rescales(self):
         state = QubitState.normalized(3.0, 4.0j)
         assert state.alpha == pytest.approx(0.6)
@@ -144,28 +149,29 @@ def bell_collapse(state: QubitState):
 
 class TestBellMeasure:
     def test_replay_is_deterministic(self):
-        a = [bell_measure(np.random.default_rng(9)) for _ in range(50)]
-        b = [bell_measure(np.random.default_rng(9)) for _ in range(50)]
-        assert a == b
+        a = bell_measure(np.random.default_rng(9), 50)
+        b = bell_measure(np.random.default_rng(9), 50)
+        np.testing.assert_array_equal(a.s1, b.s1)
+        np.testing.assert_array_equal(a.s2, b.s2)
 
     def test_pair_frequencies_and_independence(self):
         rng = np.random.default_rng(20)
         draws = bell_measure(rng, size=200_000)
         for s1 in (0, 1):
             for s2 in (0, 1):
-                freq = np.mean((draws[:, 0] == s1) & (draws[:, 1] == s2))
+                freq = np.mean((draws.s1 == s1) & (draws.s2 == s2))
                 assert abs(freq - 0.25) < 0.004  # 4-sigma binomial band
-        corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
+        corr = np.corrcoef(draws.s1, draws.s2)[0, 1]
         assert abs(corr) < 0.009
 
-    def test_scalar_and_batch_forms(self):
+    def test_batch_is_bellbits_of_bit_arrays(self):
+        batch = bell_measure(np.random.default_rng(21), 16)
+        assert isinstance(batch, BellBits)
+        # All s1 bits come first, then all s2 bits, from the same stream.
         rng = np.random.default_rng(21)
-        single = bell_measure(rng)
-        assert isinstance(single, BellBits)
-        assert single.s1 in (0, 1) and single.s2 in (0, 1)
-        batch = bell_measure(rng, size=16)
-        assert batch.shape == (16, 2)
-        assert set(np.unique(batch)) <= {0, 1}
+        np.testing.assert_array_equal(batch.s1, rng.integers(0, 2, 16))
+        np.testing.assert_array_equal(batch.s2, rng.integers(0, 2, 16))
+        assert set(np.unique(batch.s1)) | set(np.unique(batch.s2)) <= {0, 1}
 
     def test_matches_full_state_vector_collapse(self):
         # The fair-bit shortcut must agree with the real measurement: every
