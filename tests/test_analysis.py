@@ -146,9 +146,16 @@ class TestEstimateFidelity:
 
     def test_fully_mixed_resource_is_exactly_half(self):
         rng = np.random.default_rng(14)
-        for trials in (1, 7, 10_000):
+        est = estimate_fidelity(PLUS, REF_CHANNEL, Gaussian(0.0, 1.42),
+                                EntanglementResource(0.0), 10_000, rng)
+        assert est == 0.5
+
+    def test_fully_mixed_resource_pins_every_trial(self):
+        # A single-trial estimate is that trial's fidelity.
+        rng = np.random.default_rng(9)
+        for _ in range(100):
             est = estimate_fidelity(PLUS, REF_CHANNEL, Gaussian(0.0, 1.42),
-                                    EntanglementResource(0.0), trials, rng)
+                                    EntanglementResource(0.0), 1, rng)
             assert est == 0.5
 
     def test_werner_mixing_is_affine(self):
