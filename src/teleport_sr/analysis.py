@@ -31,7 +31,7 @@ from .channel import (
     sr_predicted,
     transmit_bits,
 )
-from .noise import NoiseModel, classify
+from .noise import NoiseModel, finite_real, integer_at_least
 from .qstate import QubitState, bell_measure, pauli_weights
 
 __all__ = [
@@ -62,12 +62,14 @@ class EntanglementResource:
 
     ``werner_f`` is the weight of the perfect pair in a mixture with the
     maximally mixed two-qubit state; 1.0 recovers the ideal protocol and 0
-    pins every fidelity at 1/2.
+    pins every fidelity at 1/2.  It must be a finite number and is stored as
+    a float.
     """
 
     werner_f: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "werner_f", float(finite_real(self.werner_f, "resource.werner_f")))
         if not 0.0 <= self.werner_f <= 1.0:
             raise ValueError(f"werner_f must be in [0, 1], got {self.werner_f}")
 
@@ -124,8 +126,7 @@ def estimate_fidelity(state: QubitState, config: ChannelConfig, noise: NoiseMode
     measurement; the expectation is unchanged and the variance smaller.
     Converges to :func:`analytic_fidelity` as the trial count grows.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    integer_at_least(trials, "trials", 1)
     table = pauli_weights(state).overlap_table()
     s = bell_measure(rng, trials)
     y1 = transmit_bits(s.s1, config, noise, rng)
@@ -232,12 +233,10 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
     for any ``workers`` value.
     """
     scales = check_scales(scales, "scales")
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if smoothing_window < 1 or smoothing_window % 2 == 0:
-        raise ValueError(f"smoothing window must be a positive odd count, got {smoothing_window}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    integer_at_least(runs, "runs", 1)
+    if integer_at_least(smoothing_window, "smoothing window", 1) % 2 == 0:
+        raise ValueError(f"smoothing window must be odd, got {smoothing_window}")
+    integer_at_least(workers, "workers", 1)
 
     weights = pauli_weights(state)
 
@@ -266,7 +265,7 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
                   "beta": [state.beta.real, state.beta.imag]},
         "channel": {"amplitude": config.amplitude, "threshold": config.threshold},
         "noise_kind": noise_family.kind,
-        "noise_center": classify(noise_family).center,
+        "noise_center": noise_family.center,
         "werner_f": resource.werner_f,
         "runs": runs,
         "trials_per_run": trials_per_run,
@@ -319,7 +318,7 @@ def find_optimal_noise(state: QubitState, config: ChannelConfig, noise_family: N
     forbidden interval, where no interior optimum exists.
     """
     if not sr_predicted(config, noise_family):
-        raise MonotoneRegimeError(classify(noise_family).center, forbidden_interval(config))
+        raise MonotoneRegimeError(noise_family.center, forbidden_interval(config))
     lo, hi = check_scales(scale_bounds, "scale bounds (lo, hi)")
     weights = pauli_weights(state)
 
@@ -362,7 +361,7 @@ def theorem_limit_check(state: QubitState, config: ChannelConfig, noise_family: 
     scales = check_scales(small_scales, "small_scales", descending=True)
     weights = pauli_weights(state)
     interval = forbidden_interval(config)
-    center = classify(noise_family).center
+    center = noise_family.center
     inside = interval.contains_open(center)
     values = [analytic_at(weights, config, noise_family.with_scale(s), resource) for s in scales]
     expected = 1.0 if inside else 0.5

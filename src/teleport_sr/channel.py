@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .noise import NoiseModel, classify, finite_real
+from .noise import NoiseModel, finite_real
 
 __all__ = [
     "ChannelConfig",
@@ -37,9 +37,10 @@ _ATOL = 1e-12
 class ChannelConfig:
     """Signal amplitude and detection threshold.
 
-    Construction enforces the subthreshold regime 0 < amplitude < threshold
-    unless ``allow_suprathreshold`` is set; the noise-benefit predicates only
-    make sense for subthreshold signals.
+    Both numbers must be finite and are stored as floats.  Construction
+    enforces the subthreshold regime 0 < amplitude < threshold unless
+    ``allow_suprathreshold`` is set; the noise-benefit predicates only make
+    sense for subthreshold signals.
     """
 
     amplitude: float
@@ -47,6 +48,9 @@ class ChannelConfig:
     allow_suprathreshold: bool = False
 
     def __post_init__(self):
+        for name in ("amplitude", "threshold"):
+            value = float(finite_real(getattr(self, name), f"channel.{name}"))
+            object.__setattr__(self, name, value)
         if not self.amplitude > 0:
             raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
         if self.amplitude >= self.threshold and not self.allow_suprathreshold:
@@ -158,7 +162,7 @@ def sr_predicted(config: ChannelConfig, noise: NoiseModel) -> bool:
     """
     if not config.subthreshold:
         raise ValueError("noise-benefit prediction requires a subthreshold configuration")
-    return not forbidden_interval(config).contains_open(classify(noise).center)
+    return not forbidden_interval(config).contains_open(noise.center)
 
 
 def channel_from_json(spec) -> ChannelConfig:
@@ -170,8 +174,7 @@ def channel_from_json(spec) -> ChannelConfig:
     if unknown:
         raise ValueError(f"unknown channel keys: {sorted(unknown)}")
     try:
-        amplitude = float(finite_real(params["amplitude"], "channel.amplitude"))
-        threshold = float(finite_real(params["threshold"], "channel.threshold"))
+        amplitude, threshold = params["amplitude"], params["threshold"]
     except KeyError as exc:
         raise ValueError(f"channel spec missing key {exc.args[0]!r}") from None
     allow = params.get("allow_suprathreshold", False)

@@ -13,7 +13,7 @@ produce byte-identical output.  Subcommands:
 
 Exit codes: 0 success, 2 invalid config, 3 unwritable output, 4 monotone
 regime (no interior optimum).  The TELEPORT_SR_THREADS environment variable
-caps the sweep worker count; results do not depend on it.
+sets the sweep worker count (1 when unset); results do not depend on it.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .channel import (
 )
 from .noise import (
     NoiseModel,
-    classify,
     finite_real,
     integer_at_least,
     noise_from_json,
@@ -125,7 +124,7 @@ def _parse_resource(spec) -> EntanglementResource:
     unknown = set(spec) - {"werner_f"}
     if unknown:
         raise ConfigError(f"unknown resource keys: {sorted(unknown)}")
-    return EntanglementResource(float(finite_real(spec.get("werner_f", 1.0), "resource.werner_f")))
+    return EntanglementResource(spec.get("werner_f", 1.0))
 
 
 def _scale_list(values, where: str, descending: bool = False) -> tuple[float, ...]:
@@ -266,7 +265,7 @@ def cmd_check_interval(cfg: RunConfig, args) -> int:
     interval = forbidden_interval(cfg.channel)
     _emit({
         "interval": [interval.lo, interval.hi],
-        "center": classify(cfg.noise).center,
+        "center": cfg.noise.center,
         "sr_predicted": sr_predicted(cfg.channel, cfg.noise),
     }, args.format)
     return EXIT_OK

@@ -25,7 +25,7 @@ import enum
 import math
 import sys
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -78,9 +78,29 @@ class NoiseClassification:
 
 
 class NoiseModel(ABC):
-    """Common interface of all noise families."""
+    """Location-scale base of all noise families.
+
+    Each family is a frozen dataclass that names the field holding its
+    center (``_center_field``: the mean, or the stable location) and the
+    field holding the scale swept in noise-level studies (``_scale_field``).
+    Construction checks that every parameter is a finite number and that the
+    scale is positive.
+    """
 
     kind: str
+    _center_field = "mean"
+    _scale_field: str
+
+    has_exact_cdf = True
+    # Draw count behind cdf() when it is an empirical estimate.
+    cdf_sample_count = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name != "cdf_draws":
+                finite_real(getattr(self, f.name), f"noise parameter {f.name!r}")
+        if not self.scale > 0:
+            raise ValueError(f"{self.kind} {self._scale_field} must be > 0, got {self.scale}")
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: int | None = None):
@@ -91,27 +111,18 @@ class NoiseModel(ABC):
         """P{N <= x}."""
 
     @property
-    @abstractmethod
     def center(self) -> float:
         """Mean (finite-variance families) or location (stable family)."""
+        return getattr(self, self._center_field)
 
     @property
-    @abstractmethod
     def scale(self) -> float:
         """The natural scale parameter swept in noise-level studies."""
+        return getattr(self, self._scale_field)
 
-    @abstractmethod
     def with_scale(self, value: float) -> "NoiseModel":
         """Copy of this model with the scale parameter replaced."""
-
-    @property
-    def has_exact_cdf(self) -> bool:
-        return True
-
-    @property
-    def cdf_sample_count(self) -> int | None:
-        """Draw count behind cdf() when it is an empirical estimate."""
-        return None
+        return replace(self, **{self._scale_field: value})
 
 
 @dataclass(frozen=True)
@@ -120,27 +131,13 @@ class Gaussian(NoiseModel):
     sigma: float = 1.0
 
     kind = "gaussian"
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"gaussian sigma must be > 0, got {self.sigma}")
+    _scale_field = "sigma"
 
     def sample(self, rng, size=None):
         return rng.normal(self.mean, self.sigma, size)
 
     def cdf(self, x):
         return 0.5 * (1.0 + math.erf((x - self.mean) / (self.sigma * _SQRT2)))
-
-    @property
-    def center(self):
-        return self.mean
-
-    @property
-    def scale(self):
-        return self.sigma
-
-    def with_scale(self, value):
-        return Gaussian(self.mean, value)
 
     @property
     def variance(self):
@@ -155,10 +152,7 @@ class Uniform(NoiseModel):
     half_width: float = 1.0
 
     kind = "uniform"
-
-    def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError(f"uniform half_width must be > 0, got {self.half_width}")
+    _scale_field = "half_width"
 
     def sample(self, rng, size=None):
         return rng.uniform(self.mean - self.half_width, self.mean + self.half_width, size)
@@ -166,17 +160,6 @@ class Uniform(NoiseModel):
     def cdf(self, x):
         t = (x - self.mean + self.half_width) / (2.0 * self.half_width)
         return min(max(t, 0.0), 1.0)
-
-    @property
-    def center(self):
-        return self.mean
-
-    @property
-    def scale(self):
-        return self.half_width
-
-    def with_scale(self, value):
-        return Uniform(self.mean, value)
 
     @property
     def variance(self):
@@ -189,10 +172,7 @@ class Laplace(NoiseModel):
     diversity: float = 1.0
 
     kind = "laplace"
-
-    def __post_init__(self):
-        if not self.diversity > 0:
-            raise ValueError(f"laplace diversity must be > 0, got {self.diversity}")
+    _scale_field = "diversity"
 
     def sample(self, rng, size=None):
         return rng.laplace(self.mean, self.diversity, size)
@@ -204,19 +184,9 @@ class Laplace(NoiseModel):
         return 1.0 - 0.5 * math.exp(-z)
 
     @property
-    def center(self):
-        return self.mean
-
-    @property
-    def scale(self):
-        return self.diversity
-
-    def with_scale(self, value):
-        return Laplace(self.mean, value)
-
-    @property
     def variance(self):
         return 2.0 * self.diversity**2
+
 
 @dataclass(frozen=True)
 class AlphaStable(NoiseModel):
@@ -235,16 +205,16 @@ class AlphaStable(NoiseModel):
     cdf_draws: int = 1_000_000
 
     kind = "alpha_stable"
+    _center_field = "location"
+    _scale_field = "gamma"
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0 < self.alpha <= 2:
             raise ValueError(f"stable alpha must be in (0, 2], got {self.alpha}")
         if not -1 <= self.skew <= 1:
             raise ValueError(f"stable skew must be in [-1, 1], got {self.skew}")
-        if not self.gamma > 0:
-            raise ValueError(f"stable gamma must be > 0, got {self.gamma}")
-        if self.cdf_draws < 1:
-            raise ValueError(f"cdf_draws must be >= 1, got {self.cdf_draws}")
+        integer_at_least(self.cdf_draws, "cdf_draws", 1)
 
     @property
     def _is_gaussian_form(self) -> bool:
@@ -276,17 +246,6 @@ class AlphaStable(NoiseModel):
             return 0.5 + math.atan((x - self.location) / self.gamma) / math.pi
         table = _empirical_cdf_table(self)
         return float(np.searchsorted(table, x, side="right")) / table.size
-
-    @property
-    def center(self):
-        return self.location
-
-    @property
-    def scale(self):
-        return self.gamma
-
-    def with_scale(self, value):
-        return AlphaStable(self.alpha, self.skew, value, self.location, self.cdf_draws)
 
     @property
     def has_exact_cdf(self):
@@ -343,7 +302,7 @@ def classify(model: NoiseModel) -> NoiseClassification:
     """
     if isinstance(model, AlphaStable) and model.alpha < 2.0:
         return NoiseClassification(
-            NoiseClass.INFINITE_VARIANCE_STABLE, model.location, model.gamma
+            NoiseClass.INFINITE_VARIANCE_STABLE, model.center, model.scale
         )
     return NoiseClassification(NoiseClass.FINITE_VARIANCE, model.center, model.variance)
 
@@ -384,11 +343,6 @@ def noise_from_json(spec) -> NoiseModel:
     unknown = set(params) - known
     if unknown:
         raise ValueError(f"unknown {kind} noise keys: {sorted(unknown)}")
-    for key, value in params.items():
-        if key == "cdf_draws":
-            integer_at_least(value, "cdf_draws", 1)
-        else:
-            finite_real(value, f"noise parameter {key!r}")
     return cls(**params)
 
 

@@ -416,3 +416,24 @@ class TestTheoremLimit:
         assert report.center == 0.7
         assert report.interval == pytest.approx((0.5, 2.7))
         assert len(report.scales) == len(report.analytic_f)
+
+
+class TestOwnNumbers:
+    """Every value checks its own numbers: a ValueError that names the field."""
+
+    @pytest.mark.parametrize("build,field", [
+        (lambda: Gaussian(math.nan), "mean"),
+        (lambda: Laplace(0.0, math.inf), "diversity"),
+        (lambda: AlphaStable(1.5, location=math.nan), "location"),
+        (lambda: AlphaStable(1.5, cdf_draws=True), "cdf_draws"),
+        (lambda: ChannelConfig(1.1, math.inf), "threshold"),
+        (lambda: sweep(PLUS, REF_CHANNEL, Gaussian(), [1.0], runs=True, trials_per_run=10), "runs"),
+        (lambda: sweep(PLUS, REF_CHANNEL, Gaussian(), [1.0], runs=2.5, trials_per_run=10), "runs"),
+        (lambda: estimate_fidelity(PLUS, REF_CHANNEL, Gaussian(), PERFECT, True,
+                                   np.random.default_rng(0)), "trials"),
+    ], ids=["gaussian-nan-mean", "laplace-inf-diversity", "stable-nan-location",
+            "stable-bool-cdf_draws", "channel-inf-threshold", "sweep-bool-runs",
+            "sweep-float-runs", "estimate-bool-trials"])
+    def test_rejects_and_names_the_field(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()

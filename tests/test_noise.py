@@ -3,7 +3,8 @@
 The hand-written CDFs are checked against scipy, the samplers against the
 CDFs (Kolmogorov-Smirnov), and the stable sampler additionally against the
 characteristic function of the documented parameterization, which pins the
-skew-sign convention.
+skew-sign convention.  Property tests check the location-scale interface
+and the CDF bounds over all four families.
 """
 
 import cmath
@@ -11,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from teleport_sr.noise import (
@@ -249,3 +251,42 @@ class TestJson:
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="must be an object"):
             noise_from_json("gaussian")
+
+
+CENTERS = st.floats(-10.0, 10.0)
+SCALES = st.floats(1e-3, 1e3)
+# Stable models draw alpha from the closed-form points and the whole range;
+# small cdf_draws keep the empirical tables cheap.
+MODELS = st.one_of(
+    st.builds(Gaussian, CENTERS, SCALES),
+    st.builds(Uniform, CENTERS, SCALES),
+    st.builds(Laplace, CENTERS, SCALES),
+    st.builds(AlphaStable, st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.2, 2.0)),
+              st.floats(-1.0, 1.0), SCALES, CENTERS, st.integers(1, 300)),
+)
+SCALE_KEYS = {"gaussian": "sigma", "uniform": "half_width", "laplace": "diversity",
+              "alpha_stable": "gamma"}
+
+
+class TestProperties:
+    @settings(deadline=None)
+    @given(model=MODELS, scale=SCALES)
+    def test_with_scale_replaces_only_the_scale(self, model, scale):
+        rescaled = model.with_scale(scale)
+        assert type(rescaled) is type(model)
+        assert rescaled.scale == scale
+        assert rescaled.center == model.center
+        before, after = noise_to_json(model), noise_to_json(rescaled)
+        assert {k for k in before if before[k] != after[k]} <= {SCALE_KEYS[model.kind]}
+
+    @settings(deadline=None)
+    @given(model=MODELS)
+    def test_json_round_trip(self, model):
+        assert noise_from_json(noise_to_json(model)) == model
+
+    @settings(deadline=None)
+    @given(model=MODELS, xs=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=20))
+    def test_cdf_is_monotone_within_unit_interval(self, model, xs):
+        values = [model.cdf(x) for x in sorted(xs)]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert all(a <= b for a, b in zip(values, values[1:]))
