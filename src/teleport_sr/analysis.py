@@ -131,8 +131,15 @@ def estimate_fidelity(state: QubitState, config: ChannelConfig, noise: NoiseMode
     s = bell_measure(rng, trials)
     y1 = transmit_bits(s.s1, config, noise, rng)
     y2 = transmit_bits(s.s2, config, noise, rng)
-    overlap = table[2 * (y1 ^ s.s1) + (y2 ^ s.s2)]
-    per_trial = resource.werner_f * overlap + (1.0 - resource.werner_f) / 2.0
+    # table[2 * (y1 ^ s1) + (y2 ^ s2)], then the Werner mix, in place: each
+    # cell frees few large arrays, so the allocator keeps reusing its pages.
+    y1 ^= s.s1
+    y1 <<= 1
+    y2 ^= s.s2
+    y1 += y2
+    per_trial = table[y1]
+    per_trial *= resource.werner_f
+    per_trial += (1.0 - resource.werner_f) / 2.0
     return float(per_trial.mean())
 
 
@@ -305,13 +312,35 @@ def _golden_section_max(fn, lo: float, hi: float, rtol: float = 1e-6):
     return x, fn(x)
 
 
+def _maximize(fn, lo: float, hi: float):
+    """Maximize ``fn`` on [lo, hi]: golden section over the whole interval,
+    checked against a scan of 16 evenly spaced points.
+
+    Golden section follows ties to the left, so a flat stretch (where the
+    detection-probability difference is 0) can hide the maximum from it.
+    When a scanned point beats its result, golden section runs again between
+    that point's neighbours, and the best point seen is returned; the result
+    is never below what the whole-interval search finds.
+    """
+    best = _golden_section_max(fn, lo, hi)
+    grid = [float(x) for x in np.linspace(lo, hi, 16)]
+    values = [fn(x) for x in grid]
+    k = int(np.argmax(values))
+    if values[k] > best[1]:
+        refined = _golden_section_max(fn, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
+        best = max(refined, (grid[k], values[k]), key=lambda point: point[1])
+    return best
+
+
 def find_optimal_noise(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
                        resource: EntanglementResource = EntanglementResource(),
                        scale_bounds: tuple[float, float] = (0.01, 3.0)) -> OptimalNoise:
-    """Noise scale maximizing the analytic fidelity, by golden-section search.
+    """Noise scale maximizing the analytic fidelity over ``scale_bounds``.
 
-    Fidelity is monotone in the detection-probability difference, so this
-    equivalently maximizes that scalar over the scale.  CDF evaluations are
+    Golden-section search over the bounds, checked by a coarse scan that
+    finds a maximum on a bound or past a flat stretch too.  Fidelity is
+    monotone in the detection-probability difference, so this equivalently
+    maximizes that scalar over the scale.  CDF evaluations are
     exact for closed-form models and deterministic empirical estimates
     otherwise (the model's ``cdf_draws`` is the sampling budget).  Raises
     :class:`MonotoneRegimeError` when the noise center falls inside the
@@ -325,7 +354,7 @@ def find_optimal_noise(state: QubitState, config: ChannelConfig, noise_family: N
     def objective(s: float) -> float:
         return analytic_at(weights, config, noise_family.with_scale(s), resource)
 
-    scale, fidelity = _golden_section_max(objective, lo, hi)
+    scale, fidelity = _maximize(objective, lo, hi)
     return OptimalNoise(scale=scale, fidelity=fidelity)
 
 

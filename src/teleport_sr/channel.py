@@ -108,8 +108,12 @@ class DetectionStats:
 
 
 def encode(bit, config: ChannelConfig):
-    """Map bit 0 to -amplitude and bit 1 to +amplitude.  Accepts arrays."""
-    return config.amplitude * (2 * bit - 1)
+    """Map bit 0 to -amplitude and bit 1 to +amplitude.
+
+    Accepts a 0/1 (or boolean) scalar, giving a scalar, or an array.
+    """
+    levels = np.array([-config.amplitude, config.amplitude])
+    return levels[np.asarray(bit, dtype=np.intp)]
 
 
 def detect(received, config: ChannelConfig) -> np.ndarray:
@@ -125,7 +129,9 @@ def transmit_bits(bits: np.ndarray, config: ChannelConfig, noise: NoiseModel,
                   rng: np.random.Generator) -> np.ndarray:
     """Vectorized transmission of a bit array, one noise draw per bit."""
     bits = np.asarray(bits)
-    return detect(encode(bits, config) + noise.sample(rng, bits.size), config)
+    received = noise.sample(rng, bits.size)
+    received += encode(bits, config)
+    return detect(received, config)
 
 
 def detection_probabilities(config: ChannelConfig, noise: NoiseModel) -> DetectionStats:

@@ -8,7 +8,7 @@ produce byte-identical output.  Subcommands:
     probs           conditional detection probabilities
     simulate        Monte Carlo fidelity estimate
     sweep           fidelity vs noise scale; writes CSV + JSON (+ SVG)
-    optimum         best noise scale by golden-section search
+    optimum         best noise scale (golden-section search, checked by a scan)
     theorem-check   vanishing-noise fidelity limit
 
 Exit codes: 0 success, 2 invalid config, 3 unwritable output, 4 monotone

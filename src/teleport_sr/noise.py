@@ -14,6 +14,12 @@ for alpha == 1.  Under this convention alpha=2 is Gaussian with variance
 The sampler and the CDFs below agree with each other in this convention; the
 test suite checks both against independent references.
 
+A stable variate is the location-scale image of a standard (gamma = 1,
+location 0) Chambers-Mallows-Stuck draw.  Stable families without a closed
+form get their CDF from an empirical table: ``cdf_draws`` standard draws,
+sorted once per (alpha, skew, cdf_draws), and each scale's table is the
+affine image of that sorted table.
+
 Every model is an immutable value.  Sampling takes an explicit
 ``numpy.random.Generator`` so independent workers can hold independent
 streams.
@@ -24,8 +30,9 @@ from __future__ import annotations
 import enum
 import math
 import sys
+import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -52,6 +59,10 @@ _ALPHA_ONE_EPS = 1e-8
 # Fixed entropy for empirical-CDF tables, so cdf() is a pure function of
 # (model, draw count).
 _EMPIRICAL_CDF_SEED = 851530
+
+# Held while a standard table is looked up or built, so sweep workers asking
+# for the same shape at once build it once.
+_STANDARD_TABLE_LOCK = threading.Lock()
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -194,8 +205,10 @@ class AlphaStable(NoiseModel):
 
     ``alpha`` is the stability exponent in (0, 2], ``skew`` the skewness in
     [-1, 1], ``gamma`` the dispersion (> 0) and ``location`` the shift.
-    ``cdf_draws`` sizes the empirical CDF table used when no closed form
-    exists (alpha=2 and symmetric alpha=1 have closed forms).
+    ``cdf_draws`` sizes the empirical CDF used when no closed form exists
+    (alpha=2 and symmetric alpha=1 have closed forms): one sorted table of
+    that many standard draws per (alpha, skew), whose affine image under
+    this model's location-scale map is the table of each scale.
     """
 
     alpha: float
@@ -225,19 +238,20 @@ class AlphaStable(NoiseModel):
         return abs(self.alpha - 1.0) < _ALPHA_ONE_EPS and self.skew == 0.0
 
     def sample(self, rng, size=None):
-        u = rng.uniform(-math.pi / 2, math.pi / 2, size)
-        w = rng.exponential(1.0, size)
-        # The documented skew convention is the sign flip of the textbook
-        # 1-parameterization the CMS transform targets.
-        beta = -self.skew
+        out = self._rescale(_standard_stable(self.alpha, self.skew, rng, size))
+        return float(out) if size is None else out
+
+    def _rescale(self, z):
+        """Map standard (gamma = 1, location 0) draws ``z`` onto this model.
+
+        A positive affine map, so it keeps the order of a sorted table.
+        """
         if abs(self.alpha - 1.0) < _ALPHA_ONE_EPS:
-            z = _cms_standard_alpha_one(beta, u, w)
+            beta = -self.skew
             out = self.gamma * z + (2 / math.pi) * beta * self.gamma * math.log(self.gamma)
         else:
-            z = _cms_standard(self.alpha, beta, u, w)
             out = self.gamma ** (1.0 / self.alpha) * z
-        out = out + self.location
-        return float(out) if size is None else out
+        return out + self.location
 
     def cdf(self, x):
         if self._is_gaussian_form:
@@ -260,6 +274,18 @@ class AlphaStable(NoiseModel):
         if not self._is_gaussian_form:
             raise ValueError(f"alpha={self.alpha} stable noise has infinite variance")
         return 2.0 * self.gamma
+
+
+def _standard_stable(alpha, skew, rng, size):
+    """Standard stable draws (gamma = 1, location 0): all angles, then all exponentials."""
+    u = rng.uniform(-math.pi / 2, math.pi / 2, size)
+    w = rng.exponential(1.0, size)
+    # The documented skew convention is the sign flip of the textbook
+    # 1-parameterization the CMS transform targets.
+    beta = -skew
+    if abs(alpha - 1.0) < _ALPHA_ONE_EPS:
+        return _cms_standard_alpha_one(beta, u, w)
+    return _cms_standard(alpha, beta, u, w)
 
 
 def _cms_standard(alpha, beta, u, w):
@@ -287,9 +313,24 @@ def _cms_standard_alpha_one(beta, u, w):
 
 
 @lru_cache(maxsize=4)
-def _empirical_cdf_table(model: AlphaStable) -> np.ndarray:
+def _standard_table(alpha: float, skew: float, draws: int) -> np.ndarray:
+    """Sorted standard draws of one stable shape, from the fixed table seed."""
     rng = np.random.default_rng(np.random.SeedSequence(_EMPIRICAL_CDF_SEED))
-    table = np.sort(model.sample(rng, model.cdf_draws))
+    table = np.sort(_standard_stable(alpha, skew, rng, draws))
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=4)
+def _empirical_cdf_table(model: AlphaStable) -> np.ndarray:
+    """Sorted table of ``model.cdf_draws`` draws of ``model``.
+
+    Equal to sorting ``model.sample`` on a fresh stream from the table seed,
+    since the draws are the standard ones mapped through a positive affine map.
+    """
+    with _STANDARD_TABLE_LOCK:
+        standard = _standard_table(model.alpha, model.skew, model.cdf_draws)
+    table = model._rescale(standard)
     table.setflags(write=False)
     return table
 
@@ -343,6 +384,9 @@ def noise_from_json(spec) -> NoiseModel:
     unknown = set(params) - known
     if unknown:
         raise ValueError(f"unknown {kind} noise keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in params:
+            raise ValueError(f"{kind} noise spec missing key {f.name!r}")
     return cls(**params)
 
 

@@ -8,10 +8,13 @@ the optimal-noise search against stationarity closed forms plus a dense grid.
 import csv
 import io
 import math
+import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from teleport_sr import noise
 from teleport_sr.analysis import (
     EntanglementResource,
     MonotoneRegimeError,
@@ -261,6 +264,22 @@ class TestSweep:
         c = self.small(workers=7)
         assert a.to_csv() == b.to_csv() == c.to_csv()
 
+    def test_stable_sweep_builds_one_standard_table(self, monkeypatch):
+        # A fresh cache counts this sweep's builds; a draw count no other
+        # test uses keeps per-scale tables out of the cache.  A short switch
+        # interval makes the two workers race for the first table.
+        monkeypatch.setattr(noise, "_standard_table",
+                            lru_cache(maxsize=4)(noise._standard_table.__wrapped__))
+        family = AlphaStable(1.5, 0.5, cdf_draws=200_003)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            two = self.small(noise_family=family, workers=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert noise._standard_table.cache_info().misses == 1
+        assert two.to_csv() == self.small(noise_family=family).to_csv()
+
     def test_seed_changes_mc_but_not_analytic(self):
         a = self.small()
         b = self.small(master_seed=100)
@@ -350,17 +369,22 @@ class TestFindOptimalNoise:
         assert best.fidelity < 2 / 3
 
     def test_dense_grid_cross_check(self):
+        # On (0.01, 0.6) the Uniform P is 0 up to 0.5, a plateau golden
+        # section alone leaves toward 0.01; the maximum sits on the upper bound.
         w = pauli_weights(PLUS)
-        grid = np.linspace(0.01, 3.0, 3001)
-        for family in (Gaussian(0.0, 1.0), AlphaStable(1.0, 0.0, 1.0, 0.0)):
-            values = [
-                analytic_fidelity(w, detection_probabilities(REF_CHANNEL, family.with_scale(s)).P, PERFECT)
-                for s in grid
-            ]
-            brute = float(grid[int(np.argmax(values))])
-            best = find_optimal_noise(PLUS, REF_CHANNEL, family, PERFECT, (0.01, 3.0))
-            assert abs(best.scale - brute) <= float(grid[1] - grid[0])
-            assert best.fidelity >= max(values) - 1e-9
+        families = (Gaussian(0.0, 1.0), Laplace(0.0, 1.0), AlphaStable(1.0, 0.0, 1.0, 0.0),
+                    Uniform(0.0, 1.0))
+        for bounds in ((0.01, 3.0), (0.01, 0.6)):
+            grid = np.linspace(*bounds, 3001)
+            for family in families:
+                values = [
+                    analytic_fidelity(w, detection_probabilities(REF_CHANNEL, family.with_scale(s)).P, PERFECT)
+                    for s in grid
+                ]
+                brute = float(grid[int(np.argmax(values))])
+                best = find_optimal_noise(PLUS, REF_CHANNEL, family, PERFECT, bounds)
+                assert abs(best.scale - brute) <= float(grid[1] - grid[0]), (family, bounds)
+                assert best.fidelity >= max(values) - 1e-9, (family, bounds)
 
     def test_monotone_regime_signal(self):
         with pytest.raises(MonotoneRegimeError, match="monotone"):

@@ -58,6 +58,11 @@ class TestEncodeDetect:
     def test_encode_bipolar(self):
         assert encode(0, REF_CHANNEL) == pytest.approx(-1.1)
         assert encode(1, REF_CHANNEL) == pytest.approx(1.1)
+        # Boolean bits are bits, not masks; scalars stay scalars.
+        assert encode(True, REF_CHANNEL) == 1.1 and np.ndim(encode(True, REF_CHANNEL)) == 0
+        assert encode(False, REF_CHANNEL) == -1.1
+        assert encode(np.array([True, False, True]), REF_CHANNEL).tolist() == [1.1, -1.1, 1.1]
+        assert encode(np.array([[0, 1]]), REF_CHANNEL).tolist() == [[-1.1, 1.1]]
 
     def test_encode_tiny_amplitude_with_override(self):
         cfg = ChannelConfig(1e-4, 1.6)

@@ -377,9 +377,10 @@ class TestTopLevelErrors:
         (("resource", "werner_f"), '"0.5"', "resource.werner_f"),
         (("state",), '{"alpha": NaN, "beta": 1}', "state.alpha"),
         (("sweep", "scales"), "[NaN]", "sweep.scales"),
+        (("noise",), '{"kind": "alpha_stable"}', "missing key 'alpha'"),
     ], ids=["nan-mean", "inf-threshold", "1e999-threshold", "huge-int-threshold",
             "bool-threshold", "string-amplitude", "string-werner-f", "nan-alpha",
-            "nan-scale"])
+            "nan-scale", "missing-stable-alpha"])
     def test_non_finite_or_mistyped_number_exits_2(self, capsys, tmp_path, path, literal, field):
         raw = base_config()
         holder = raw

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
+from teleport_sr import noise
 from teleport_sr.noise import (
     AlphaStable,
     Gaussian,
@@ -111,6 +112,19 @@ class TestCdf:
         assert AlphaStable(1.0 + 1e-9, 0.0, 1.0, 0.0).has_exact_cdf
         assert AlphaStable(2.0, 0.7, 1.0, 0.0).has_exact_cdf  # skew vanishes at alpha=2
         assert not AlphaStable(1.0, 0.5, 1.0, 0.0).has_exact_cdf
+
+    @pytest.mark.parametrize("model", [
+        AlphaStable(1.5, 0.5, 0.4, 0.0, cdf_draws=5_001),
+        AlphaStable(1.5, 0.5, 2.5, -0.3, cdf_draws=5_001),
+        AlphaStable(1.0, 0.3, 0.6, 0.2, cdf_draws=5_001),
+        AlphaStable(1.0, 0.3, 1.7, 0.2, cdf_draws=5_001),
+    ], ids=["alpha1.5-gamma0.4", "alpha1.5-gamma2.5", "alpha1-gamma0.6", "alpha1-gamma1.7"])
+    def test_table_is_the_sorted_sample_of_the_model(self, model):
+        # The table is the rescaled standard table; it must equal sorting
+        # the model's own draws from the table seed, bit for bit.
+        rng = np.random.default_rng(np.random.SeedSequence(noise._EMPIRICAL_CDF_SEED))
+        expected = np.sort(model.sample(rng, model.cdf_draws))
+        assert noise._empirical_cdf_table(model).tobytes() == expected.tobytes()
 
 
 class TestSampler:
@@ -251,6 +265,10 @@ class TestJson:
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="must be an object"):
             noise_from_json("gaussian")
+
+    def test_missing_required_key(self):
+        with pytest.raises(ValueError, match="alpha_stable noise spec missing key 'alpha'"):
+            noise_from_json({"kind": "alpha_stable", "gamma": 1.0})
 
 
 CENTERS = st.floats(-10.0, 10.0)
