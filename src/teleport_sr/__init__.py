@@ -42,8 +42,6 @@ from .noise import (
     NoiseModel,
     Uniform,
     classify,
-    noise_from_json,
-    noise_to_json,
 )
 from .qstate import (
     BellBits,

@@ -144,16 +144,16 @@ def estimate_fidelity(state: QubitState, config: ChannelConfig, noise: NoiseMode
 
 
 def check_scales(values, where: str, descending: bool = False) -> tuple[float, ...]:
-    """Validate a noise-scale grid: non-empty, finite, positive, strictly monotone.
+    """Validate a noise-scale grid: non-empty, :func:`finite_real`, positive, strictly monotone.
 
     Returns the grid as a tuple of floats.  A ``descending`` grid must fall
     toward 0.  Errors name the grid as ``where``.
     """
-    scales = tuple(float(v) for v in values)
+    scales = tuple(float(finite_real(v, where)) for v in values)
     if not scales:
         raise ValueError(f"{where} must be a non-empty grid of positive scales")
-    if not all(0 < s < math.inf for s in scales):
-        raise ValueError(f"{where} must be positive and finite")
+    if not all(s > 0 for s in scales):
+        raise ValueError(f"{where} must be positive")
     pairs = zip(scales[1:], scales) if descending else zip(scales, scales[1:])
     if any(b <= a for a, b in pairs):
         order = "strictly descend toward 0" if descending else "be strictly increasing"

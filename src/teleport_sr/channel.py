@@ -26,8 +26,6 @@ __all__ = [
     "detection_probabilities",
     "forbidden_interval",
     "sr_predicted",
-    "channel_from_json",
-    "channel_to_json",
 ]
 
 _ATOL = 1e-12
@@ -37,8 +35,9 @@ _ATOL = 1e-12
 class ChannelConfig:
     """Signal amplitude and detection threshold.
 
-    Both numbers must be finite and are stored as floats.  Construction
-    enforces the subthreshold regime 0 < amplitude < threshold unless
+    Both numbers must be finite and are stored as floats, and
+    ``allow_suprathreshold`` must be a boolean.  Construction enforces the
+    subthreshold regime 0 < amplitude < threshold unless
     ``allow_suprathreshold`` is set; the noise-benefit predicates only make
     sense for subthreshold signals.
     """
@@ -51,6 +50,9 @@ class ChannelConfig:
         for name in ("amplitude", "threshold"):
             value = float(finite_real(getattr(self, name), f"channel.{name}"))
             object.__setattr__(self, name, value)
+        if not isinstance(self.allow_suprathreshold, bool):
+            raise ValueError(f"channel.allow_suprathreshold must be a boolean, "
+                             f"got {self.allow_suprathreshold!r}")
         if not self.amplitude > 0:
             raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
         if self.amplitude >= self.threshold and not self.allow_suprathreshold:
@@ -110,10 +112,15 @@ class DetectionStats:
 def encode(bit, config: ChannelConfig):
     """Map bit 0 to -amplitude and bit 1 to +amplitude.
 
-    Accepts a 0/1 (or boolean) scalar, giving a scalar, or an array.
+    Accepts a 0/1 (or boolean) scalar, giving a scalar, or an array.  Any
+    other integer raises ValueError and a non-integer type TypeError.
     """
+    bits = np.asarray(bit).astype(np.intp, casting="safe", copy=False)
+    # One reduction: a negative bit is huge when read as unsigned.
+    if bits.view(np.uintp).max(initial=0) > 1:
+        raise ValueError(f"bits must be 0 or 1, got {np.unique(bits).tolist()}")
     levels = np.array([-config.amplitude, config.amplitude])
-    return levels[np.asarray(bit, dtype=np.intp)]
+    return levels[bits]
 
 
 def detect(received, config: ChannelConfig) -> np.ndarray:
@@ -170,28 +177,3 @@ def sr_predicted(config: ChannelConfig, noise: NoiseModel) -> bool:
         raise ValueError("noise-benefit prediction requires a subthreshold configuration")
     return not forbidden_interval(config).contains_open(noise.center)
 
-
-def channel_from_json(spec) -> ChannelConfig:
-    """Build a config from ``{"amplitude": ..., "threshold": ...}``."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"channel spec must be an object, got {type(spec).__name__}")
-    params = dict(spec)
-    unknown = set(params) - {"amplitude", "threshold", "allow_suprathreshold"}
-    if unknown:
-        raise ValueError(f"unknown channel keys: {sorted(unknown)}")
-    try:
-        amplitude, threshold = params["amplitude"], params["threshold"]
-    except KeyError as exc:
-        raise ValueError(f"channel spec missing key {exc.args[0]!r}") from None
-    allow = params.get("allow_suprathreshold", False)
-    if not isinstance(allow, bool):
-        raise ValueError(f"allow_suprathreshold must be a boolean, got {allow!r}")
-    return ChannelConfig(amplitude, threshold, allow)
-
-
-def channel_to_json(config: ChannelConfig) -> dict:
-    return {
-        "amplitude": config.amplitude,
-        "threshold": config.threshold,
-        "allow_suprathreshold": config.allow_suprathreshold,
-    }

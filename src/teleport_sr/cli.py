@@ -11,6 +11,11 @@ produce byte-identical output.  Subcommands:
     optimum         best noise scale (golden-section search, checked by a scan)
     theorem-check   vanishing-noise fidelity limit
 
+The config format lives here only: every section is an object with no unknown
+keys and its required keys, and an error names the section and the key.  The
+channel, resource and noise keys are the fields of the dataclass they build.
+``config_to_json`` writes them back, and parsing its output is exact.
+
 Exit codes: 0 success, 2 invalid config, 3 unwritable output, 4 monotone
 regime (no interior optimum).  The TELEPORT_SR_THREADS environment variable
 sets the sweep worker count (1 when unset); results do not depend on it.
@@ -25,7 +30,7 @@ import os
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -43,18 +48,18 @@ from .analysis import (
 )
 from .channel import (
     ChannelConfig,
-    channel_from_json,
-    channel_to_json,
     detection_probabilities,
     forbidden_interval,
     sr_predicted,
 )
 from .noise import (
+    AlphaStable,
+    Gaussian,
+    Laplace,
     NoiseModel,
+    Uniform,
     finite_real,
     integer_at_least,
-    noise_from_json,
-    noise_to_json,
 )
 from .qstate import QubitState, pauli_weights
 
@@ -67,6 +72,7 @@ _ENV_THREADS = "TELEPORT_SR_THREADS"
 
 _TOP_KEYS = {"state", "channel", "noise", "resource", "sweep", "seed", "out_dir"}
 _SWEEP_KEYS = {"scales", "bounds", "count", "runs", "trials", "window", "small_scales"}
+_NOISE_KINDS = {cls.kind: cls for cls in (Gaussian, Uniform, Laplace, AlphaStable)}
 
 _DEFAULT_SMALL_SCALES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
@@ -91,6 +97,26 @@ class RunConfig:
     out_dir: str
 
 
+def _section(spec, where: str, keys, required=()) -> dict:
+    """One rule for every config section: an object, no unknown keys, ``required`` present."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be an object, got {type(spec).__name__}")
+    unknown = set(spec) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in spec:
+            raise ConfigError(f"{where} missing key {key!r}")
+    return spec
+
+
+def _build(cls, spec, where: str, extra=()):
+    """``cls`` from a section keyed by its fields (plus ``extra``); no default means required."""
+    names = tuple(f.name for f in fields(cls))
+    _section(spec, where, names + extra, [f.name for f in fields(cls) if f.default is MISSING])
+    return cls(**{name: spec[name] for name in names if name in spec})
+
+
 def _parse_amplitude(value, where: str) -> complex:
     """A number, or an ``[re, im]`` pair of numbers."""
     if isinstance(value, list) and len(value) == 2:
@@ -101,13 +127,7 @@ def _parse_amplitude(value, where: str) -> complex:
 def _parse_state(spec) -> QubitState:
     if isinstance(spec, str):
         return QubitState.preset(spec)
-    if not isinstance(spec, dict):
-        raise ConfigError("state must be a preset name or an object with alpha/beta")
-    unknown = set(spec) - {"alpha", "beta", "normalize"}
-    if unknown:
-        raise ConfigError(f"unknown state keys: {sorted(unknown)}")
-    if "alpha" not in spec or "beta" not in spec:
-        raise ConfigError("state object requires both alpha and beta")
+    _section(spec, "state", ("alpha", "beta", "normalize"), ("alpha", "beta"))
     alpha = _parse_amplitude(spec["alpha"], "state.alpha")
     beta = _parse_amplitude(spec["beta"], "state.beta")
     normalize = spec.get("normalize", False)
@@ -116,39 +136,29 @@ def _parse_state(spec) -> QubitState:
     return QubitState.normalized(alpha, beta) if normalize else QubitState(alpha, beta)
 
 
-def _parse_resource(spec) -> EntanglementResource:
-    if spec is None:
-        return EntanglementResource()
-    if not isinstance(spec, dict):
-        raise ConfigError("resource must be an object")
-    unknown = set(spec) - {"werner_f"}
-    if unknown:
-        raise ConfigError(f"unknown resource keys: {sorted(unknown)}")
-    return EntanglementResource(spec.get("werner_f", 1.0))
+def _parse_noise(spec) -> NoiseModel:
+    # Only the object check here: the allowed keys depend on the kind.
+    kind = _section(spec, "noise", spec).get("kind")
+    if not isinstance(kind, str) or kind not in _NOISE_KINDS:
+        raise ConfigError(f"unknown noise kind {kind!r}; expected one of {sorted(_NOISE_KINDS)}")
+    return _build(_NOISE_KINDS[kind], spec, f"{kind} noise", extra=("kind",))
 
 
 def _scale_list(values, where: str, descending: bool = False) -> tuple[float, ...]:
     if not isinstance(values, list):
         raise ConfigError(f"{where} must be a list of numbers")
-    return check_scales([finite_real(v, where) for v in values], where, descending)
+    return check_scales(values, where, descending)
 
 
 def _parse_sweep_section(spec):
-    if spec is None:
-        spec = {}
-    if not isinstance(spec, dict):
-        raise ConfigError("sweep must be an object")
-    unknown = set(spec) - _SWEEP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
+    _section(spec, "sweep", _SWEEP_KEYS)
     if "scales" in spec and "bounds" in spec:
         raise ConfigError("sweep accepts either scales or bounds+count, not both")
     bounds = (0.01, 3.0)
     if "bounds" in spec:
-        raw = spec["bounds"]
-        if not isinstance(raw, list) or len(raw) != 2:
+        bounds = _scale_list(spec["bounds"], "sweep.bounds")
+        if len(bounds) != 2:
             raise ConfigError("sweep.bounds must be [lo, hi]")
-        bounds = _scale_list(raw, "sweep.bounds")
     count = integer_at_least(spec.get("count", 60), "sweep.count", 1)
     if "scales" in spec:
         scales = _scale_list(spec["scales"], "sweep.scales")
@@ -170,20 +180,15 @@ def _parse_sweep_section(spec):
 
 def parse_run_config(raw, seed_override: int | None = None) -> RunConfig:
     """Validate a raw config mapping; unknown keys are rejected outright."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("state", "channel", "noise"):
-        if key not in raw:
-            raise ConfigError(f"config missing required key {key!r}")
+    _section(raw, "config", _TOP_KEYS, ("state", "channel", "noise"))
     try:
         state = _parse_state(raw["state"])
-        chan = channel_from_json(raw["channel"])
-        model = noise_from_json(raw["noise"])
-        resource = _parse_resource(raw.get("resource"))
-        scales, bounds, runs, trials, window, small_scales = _parse_sweep_section(raw.get("sweep"))
+        chan = _build(ChannelConfig, raw["channel"], "channel")
+        model = _parse_noise(raw["noise"])
+        # A null optional section means its defaults, like an empty one.
+        optional = {key: {} if raw.get(key) is None else raw[key] for key in ("resource", "sweep")}
+        resource = _build(EntanglementResource, optional["resource"], "resource")
+        scales, bounds, runs, trials, window, small_scales = _parse_sweep_section(optional["sweep"])
         seed = raw.get("seed", 0) if seed_override is None else seed_override
         integer_at_least(seed, "seed", 0)
     except ValueError as exc:
@@ -199,17 +204,25 @@ def parse_run_config(raw, seed_override: int | None = None) -> RunConfig:
 
 
 def config_to_json(cfg: RunConfig) -> dict:
-    """Canonical config mapping; re-parsing it reproduces ``cfg``."""
+    """Canonical config mapping; re-parsing it reproduces ``cfg``.
+
+    A grid that ``bounds`` and its length rebuild is written as ``bounds`` +
+    ``count``, any other grid as ``scales``.
+    """
+    if cfg.scales == default_scale_grid(len(cfg.scales), *cfg.bounds):
+        grid = {"bounds": list(cfg.bounds), "count": len(cfg.scales)}
+    else:
+        grid = {"scales": list(cfg.scales)}
     return {
         "state": {
             "alpha": [cfg.state.alpha.real, cfg.state.alpha.imag],
             "beta": [cfg.state.beta.real, cfg.state.beta.imag],
         },
-        "channel": channel_to_json(cfg.channel),
-        "noise": noise_to_json(cfg.noise),
-        "resource": {"werner_f": cfg.resource.werner_f},
+        "channel": asdict(cfg.channel),
+        "noise": {"kind": cfg.noise.kind, **asdict(cfg.noise)},
+        "resource": asdict(cfg.resource),
         "sweep": {
-            "scales": list(cfg.scales),
+            **grid,
             "runs": cfg.runs,
             "trials": cfg.trials,
             "window": cfg.window,

@@ -32,7 +32,7 @@ import math
 import sys
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -46,8 +46,6 @@ __all__ = [
     "NoiseClass",
     "NoiseClassification",
     "classify",
-    "noise_from_json",
-    "noise_to_json",
     "finite_real",
     "integer_at_least",
 ]
@@ -366,33 +364,3 @@ def integer_at_least(value, where: str, minimum: int) -> int:
         raise ValueError(f"{where} must be an integer >= {minimum}, got {value!r}")
     return value
 
-
-_NOISE_KINDS = {"gaussian": Gaussian, "uniform": Uniform, "laplace": Laplace,
-                "alpha_stable": AlphaStable}
-
-
-def noise_from_json(spec) -> NoiseModel:
-    """Build a model from a ``{"kind": ..., parameters...}`` mapping."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"noise spec must be an object, got {type(spec).__name__}")
-    params = dict(spec)
-    kind = params.pop("kind", None)
-    if kind not in _NOISE_KINDS:
-        raise ValueError(f"unknown noise kind {kind!r}; expected one of {sorted(_NOISE_KINDS)}")
-    cls = _NOISE_KINDS[kind]
-    known = {f.name for f in fields(cls)}
-    unknown = set(params) - known
-    if unknown:
-        raise ValueError(f"unknown {kind} noise keys: {sorted(unknown)}")
-    for f in fields(cls):
-        if f.default is MISSING and f.name not in params:
-            raise ValueError(f"{kind} noise spec missing key {f.name!r}")
-    return cls(**params)
-
-
-def noise_to_json(model: NoiseModel) -> dict:
-    """Inverse of :func:`noise_from_json`."""
-    out = {"kind": model.kind}
-    for f in fields(model):
-        out[f.name] = getattr(model, f.name)
-    return out

@@ -19,6 +19,7 @@ from teleport_sr.analysis import (
     EntanglementResource,
     MonotoneRegimeError,
     analytic_fidelity,
+    check_scales,
     default_scale_grid,
     estimate_fidelity,
     find_optimal_noise,
@@ -451,13 +452,21 @@ class TestOwnNumbers:
         (lambda: AlphaStable(1.5, location=math.nan), "location"),
         (lambda: AlphaStable(1.5, cdf_draws=True), "cdf_draws"),
         (lambda: ChannelConfig(1.1, math.inf), "threshold"),
+        (lambda: ChannelConfig(2.0, 1.6, allow_suprathreshold="no"), "allow_suprathreshold"),
         (lambda: sweep(PLUS, REF_CHANNEL, Gaussian(), [1.0], runs=True, trials_per_run=10), "runs"),
         (lambda: sweep(PLUS, REF_CHANNEL, Gaussian(), [1.0], runs=2.5, trials_per_run=10), "runs"),
         (lambda: estimate_fidelity(PLUS, REF_CHANNEL, Gaussian(), PERFECT, True,
                                    np.random.default_rng(0)), "trials"),
+        (lambda: sweep(PLUS, REF_CHANNEL, Gaussian(), ["0.5", "1.0"], runs=1, trials_per_run=10),
+         "scales"),
+        (lambda: find_optimal_noise(PLUS, REF_CHANNEL, Gaussian(), scale_bounds=("0.5", "2")),
+         "scale bounds"),
+        (lambda: check_scales([True, 2.0], "grid"), "grid"),
     ], ids=["gaussian-nan-mean", "laplace-inf-diversity", "stable-nan-location",
-            "stable-bool-cdf_draws", "channel-inf-threshold", "sweep-bool-runs",
-            "sweep-float-runs", "estimate-bool-trials"])
+            "stable-bool-cdf_draws", "channel-inf-threshold", "channel-str-allow",
+            "sweep-bool-runs",
+            "sweep-float-runs", "estimate-bool-trials", "sweep-string-scales",
+            "optimum-string-bounds", "bool-scale"])
     def test_rejects_and_names_the_field(self, build, field):
         with pytest.raises(ValueError, match=field):
             build()

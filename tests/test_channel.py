@@ -14,8 +14,6 @@ from scipy import stats as sps
 from teleport_sr.channel import (
     ChannelConfig,
     DetectionStats,
-    channel_from_json,
-    channel_to_json,
     detect,
     detection_probabilities,
     encode,
@@ -23,9 +21,14 @@ from teleport_sr.channel import (
     sr_predicted,
     transmit_bits,
 )
+from teleport_sr.cli import config_to_json, parse_run_config
 from teleport_sr.noise import AlphaStable, Gaussian, Laplace, Uniform
 
 REF_CHANNEL = ChannelConfig(amplitude=1.1, threshold=1.6)
+
+
+def parse_channel(spec):
+    return parse_run_config({"state": "plus", "channel": spec, "noise": {"kind": "gaussian"}})
 
 
 class TestChannelConfig:
@@ -42,16 +45,17 @@ class TestChannelConfig:
             ChannelConfig(amplitude=0.0, threshold=1.6)
 
     def test_json_round_trip(self):
-        cfg = ChannelConfig(1.1, 1.6)
-        assert channel_from_json(channel_to_json(cfg)) == cfg
+        cfg = parse_channel({"amplitude": 1.1, "threshold": 1.6})
+        assert cfg.channel == ChannelConfig(1.1, 1.6)
+        assert parse_run_config(config_to_json(cfg)).channel == cfg.channel
 
     def test_json_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown channel keys"):
-            channel_from_json({"amplitude": 1.1, "threshold": 1.6, "gain": 2.0})
+            parse_channel({"amplitude": 1.1, "threshold": 1.6, "gain": 2.0})
 
     def test_json_requires_amplitude_and_threshold(self):
-        with pytest.raises(ValueError, match="missing key"):
-            channel_from_json({"amplitude": 1.1})
+        with pytest.raises(ValueError, match="channel missing key 'threshold'"):
+            parse_channel({"amplitude": 1.1})
 
 
 class TestEncodeDetect:
@@ -63,6 +67,14 @@ class TestEncodeDetect:
         assert encode(False, REF_CHANNEL) == -1.1
         assert encode(np.array([True, False, True]), REF_CHANNEL).tolist() == [1.1, -1.1, 1.1]
         assert encode(np.array([[0, 1]]), REF_CHANNEL).tolist() == [[-1.1, 1.1]]
+
+    @pytest.mark.parametrize("bit, error", [
+        (-1, ValueError), (2, ValueError), (np.array([[0, 1], [2, 0]]), ValueError),
+        (0.7, TypeError), (np.array([1.0, 0.0]), TypeError),
+    ], ids=["minus-one", "two", "2d-array", "float", "float-array"])
+    def test_encode_rejects_non_bits(self, bit, error):
+        with pytest.raises(error, match="bits must be 0 or 1|safe"):
+            encode(bit, REF_CHANNEL)
 
     def test_encode_tiny_amplitude_with_override(self):
         cfg = ChannelConfig(1e-4, 1.6)

@@ -11,6 +11,7 @@ import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, strategies as st
 
 from teleport_sr.cli import (
     EXIT_CONFIG,
@@ -35,6 +36,39 @@ def base_config():
                   "scales": [0.3, 0.8, 1.3, 1.8, 2.3]},
         "seed": 7,
     }
+
+
+CENTERS = st.floats(-10.0, 10.0)
+SCALES = st.floats(1e-3, 1e3)
+PAIRS = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)
+STATES = st.one_of(
+    st.sampled_from(["zero", "one", "plus", "i-plus"]),
+    st.fixed_dictionaries({"alpha": st.floats(0.1, 1.0), "beta": PAIRS, "normalize": st.just(True)}),
+)
+CHANNELS = st.builds(
+    lambda a, gap: {"amplitude": a, "threshold": a + gap, "allow_suprathreshold": not a < a + gap},
+    st.floats(0.01, 5.0), st.floats(-1.0, 5.0))
+NOISES = st.one_of(*(
+    st.fixed_dictionaries({"kind": st.just(kind)}, optional={center: CENTERS, scale: SCALES})
+    for kind, center, scale in (("gaussian", "mean", "sigma"), ("uniform", "mean", "half_width"),
+                                ("laplace", "mean", "diversity"))
+), st.fixed_dictionaries(
+    {"kind": st.just("alpha_stable"), "alpha": st.floats(0.2, 2.0)},
+    optional={"skew": st.floats(-1.0, 1.0), "gamma": SCALES, "location": CENTERS,
+              "cdf_draws": st.integers(1, 10**6)}))
+# The three sweep forms: defaults, bounds + count, and an explicit grid.
+SWEEPS = st.one_of(
+    st.just({}),
+    st.builds(lambda lo, ratio, count: {"bounds": [lo, lo * (1.0 + ratio)], "count": count},
+              st.floats(1e-3, 10.0), st.floats(0.01, 10.0), st.integers(1, 200)),
+    st.builds(lambda grid: {"scales": sorted(grid)},
+              st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=20, unique=True)),
+)
+CONFIGS = st.fixed_dictionaries({
+    "state": STATES, "channel": CHANNELS, "noise": NOISES,
+    "resource": st.fixed_dictionaries({"werner_f": st.floats(0.0, 1.0)}),
+    "sweep": SWEEPS, "seed": st.integers(0, 2**63),
+})
 
 
 @pytest.fixture
@@ -71,6 +105,20 @@ class TestParseRunConfig:
         assert cfg.runs == 100 and cfg.trials == 10_000 and cfg.window == 5
         assert len(cfg.scales) == 60
         assert cfg.seed == 0 and cfg.out_dir == "."
+        assert cfg.bounds == (0.01, 3.0)
+        nulls = parse_run_config({
+            "state": "zero",
+            "channel": {"amplitude": 1.1, "threshold": 1.6},
+            "noise": {"kind": "gaussian"},
+            "resource": None,
+            "sweep": None,
+        })
+        assert nulls == cfg
+
+    @given(raw=CONFIGS)
+    def test_config_to_json_round_trips_exactly(self, raw):
+        cfg = parse_run_config(raw)
+        assert parse_run_config(json.loads(json.dumps(config_to_json(cfg)))) == cfg
 
     def test_amplitude_pairs(self):
         raw = base_config()
@@ -124,7 +172,7 @@ class TestParseRunConfig:
             parse_run_config(raw)
 
     def test_missing_sections(self):
-        with pytest.raises(ConfigError, match="missing required key"):
+        with pytest.raises(ConfigError, match="config missing key 'noise'"):
             parse_run_config({"state": "plus", "channel": {"amplitude": 1, "threshold": 2}})
 
 
@@ -378,9 +426,15 @@ class TestTopLevelErrors:
         (("state",), '{"alpha": NaN, "beta": 1}', "state.alpha"),
         (("sweep", "scales"), "[NaN]", "sweep.scales"),
         (("noise",), '{"kind": "alpha_stable"}', "missing key 'alpha'"),
+        (("channel",), "5", "channel must be an object"),
+        (("channel", "gain"), "2", "unknown channel keys: ['gain']"),
+        (("noise", "kind"), '"levy"', "unknown noise kind 'levy'"),
+        (("noise", "kind"), '["gaussian"]', "unknown noise kind ['gaussian']"),
+        (("channel", "allow_suprathreshold"), '"no"', "channel.allow_suprathreshold"),
     ], ids=["nan-mean", "inf-threshold", "1e999-threshold", "huge-int-threshold",
             "bool-threshold", "string-amplitude", "string-werner-f", "nan-alpha",
-            "nan-scale", "missing-stable-alpha"])
+            "nan-scale", "missing-stable-alpha", "non-object-channel", "unknown-channel-key",
+            "unknown-noise-kind", "list-noise-kind", "string-allow-suprathreshold"])
     def test_non_finite_or_mistyped_number_exits_2(self, capsys, tmp_path, path, literal, field):
         raw = base_config()
         holder = raw

@@ -8,14 +8,16 @@ and the CDF bounds over all four families.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from scipy import stats as sps
 
 from teleport_sr import noise
+from teleport_sr.cli import config_to_json, parse_run_config
 from teleport_sr.noise import (
     AlphaStable,
     Gaussian,
@@ -23,8 +25,6 @@ from teleport_sr.noise import (
     NoiseClass,
     Uniform,
     classify,
-    noise_from_json,
-    noise_to_json,
 )
 
 GRID = np.linspace(-8.0, 8.0, 101)
@@ -240,6 +240,17 @@ class TestScaleInterface:
         assert rescaled.cdf_draws == 5000
 
 
+def parse_noise(spec):
+    """The run config of the reference channel with noise section ``spec``."""
+    return parse_run_config({"state": "plus", "channel": {"amplitude": 1.1, "threshold": 1.6},
+                             "noise": spec})
+
+
+def config_round_trip(model):
+    cfg = dataclasses.replace(parse_noise({"kind": "gaussian"}), noise=model)
+    return parse_run_config(config_to_json(cfg)).noise
+
+
 class TestJson:
     @pytest.mark.parametrize("model", [
         Gaussian(0.7, 1.42),
@@ -248,27 +259,27 @@ class TestJson:
         AlphaStable(1.5, -0.3, 1.11, 0.2),
     ])
     def test_round_trip(self, model):
-        assert noise_from_json(noise_to_json(model)) == model
+        assert config_round_trip(model) == model
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown noise kind"):
-            noise_from_json({"kind": "levy-flight"})
+            parse_noise({"kind": "levy-flight"})
 
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown gaussian noise keys"):
-            noise_from_json({"kind": "gaussian", "mean": 0.0, "stddev": 1.0})
+            parse_noise({"kind": "gaussian", "mean": 0.0, "stddev": 1.0})
 
     def test_non_numeric_parameter(self):
         with pytest.raises(ValueError, match="must be a number"):
-            noise_from_json({"kind": "gaussian", "mean": "zero"})
+            parse_noise({"kind": "gaussian", "mean": "zero"})
 
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="must be an object"):
-            noise_from_json("gaussian")
+            parse_noise("gaussian")
 
     def test_missing_required_key(self):
-        with pytest.raises(ValueError, match="alpha_stable noise spec missing key 'alpha'"):
-            noise_from_json({"kind": "alpha_stable", "gamma": 1.0})
+        with pytest.raises(ValueError, match="alpha_stable noise missing key 'alpha'"):
+            parse_noise({"kind": "alpha_stable", "gamma": 1.0})
 
 
 CENTERS = st.floats(-10.0, 10.0)
@@ -287,22 +298,19 @@ SCALE_KEYS = {"gaussian": "sigma", "uniform": "half_width", "laplace": "diversit
 
 
 class TestProperties:
-    @settings(deadline=None)
     @given(model=MODELS, scale=SCALES)
     def test_with_scale_replaces_only_the_scale(self, model, scale):
         rescaled = model.with_scale(scale)
         assert type(rescaled) is type(model)
         assert rescaled.scale == scale
         assert rescaled.center == model.center
-        before, after = noise_to_json(model), noise_to_json(rescaled)
+        before, after = dataclasses.asdict(model), dataclasses.asdict(rescaled)
         assert {k for k in before if before[k] != after[k]} <= {SCALE_KEYS[model.kind]}
 
-    @settings(deadline=None)
     @given(model=MODELS)
     def test_json_round_trip(self, model):
-        assert noise_from_json(noise_to_json(model)) == model
+        assert config_round_trip(model) == model
 
-    @settings(deadline=None)
     @given(model=MODELS, xs=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=20))
     def test_cdf_is_monotone_within_unit_interval(self, model, xs):
         values = [model.cdf(x) for x in sorted(xs)]
