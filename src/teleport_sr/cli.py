@@ -152,20 +152,20 @@ def _scale_list(values, where: str, descending: bool = False) -> tuple[float, ..
 
 def _parse_sweep_section(spec):
     _section(spec, "sweep", _SWEEP_KEYS)
-    if "scales" in spec and "bounds" in spec:
+    if "scales" in spec and ("bounds" in spec or "count" in spec):
         raise ConfigError("sweep accepts either scales or bounds+count, not both")
     bounds = (0.01, 3.0)
     if "bounds" in spec:
         bounds = _scale_list(spec["bounds"], "sweep.bounds")
         if len(bounds) != 2:
             raise ConfigError("sweep.bounds must be [lo, hi]")
-    count = integer_at_least(spec.get("count", 60), "sweep.count", 1)
     if "scales" in spec:
         scales = _scale_list(spec["scales"], "sweep.scales")
         bounds = (scales[0], scales[-1])
         if len(scales) < 2:
             bounds = (scales[0] / 2, scales[0])
     else:
+        count = integer_at_least(spec.get("count", 60), "sweep.count", 1)
         scales = default_scale_grid(count, bounds[0], bounds[1])
     runs = integer_at_least(spec.get("runs", 100), "sweep.runs", 1)
     trials = integer_at_least(spec.get("trials", 10_000), "sweep.trials", 1)

@@ -3,6 +3,8 @@
 The closed fidelity formula is checked against the brute-force mixed-state
 route, Monte Carlo estimates against the closed formula with CLT bands, and
 the optimal-noise search against stationarity closed forms plus a dense grid.
+Property tests check the closed form's band [1/2, 1] and worker-independent
+sweeps over random states, channels and all four noise families.
 """
 
 import csv
@@ -13,11 +15,13 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from teleport_sr import noise
+from teleport_sr import analysis, noise
 from teleport_sr.analysis import (
     EntanglementResource,
     MonotoneRegimeError,
+    analytic_at,
     analytic_fidelity,
     check_scales,
     default_scale_grid,
@@ -34,6 +38,7 @@ from teleport_sr.qstate import (
     fidelity_against,
     pauli_weights,
 )
+from test_noise import MODELS
 
 REF_CHANNEL = ChannelConfig(amplitude=1.1, threshold=1.6)
 PLUS = QubitState.preset("plus")
@@ -227,6 +232,52 @@ class TestEstimateFidelity:
             est = estimate_fidelity(state, cfg, model, fw, trials, rng)
             hits += abs(est - analytic) <= band
         assert hits >= 95
+
+    @pytest.mark.parametrize("trials", [1, 6, 7, 8, 14, 15])
+    def test_trials_run_in_bounded_blocks(self, monkeypatch, trials):
+        # Memory is flat in the trial count when no draw exceeds one block.
+        monkeypatch.setattr(analysis, "_BLOCK", 7)
+        bell_sizes, noise_sizes = [], []
+        bell_measure, sample = analysis.bell_measure, Gaussian.sample
+
+        def spy_bell(rng, size):
+            bell_sizes.append(size)
+            return bell_measure(rng, size)
+
+        def spy_sample(self, rng, size=None):
+            noise_sizes.append(size)
+            return sample(self, rng, size)
+
+        monkeypatch.setattr(analysis, "bell_measure", spy_bell)
+        monkeypatch.setattr(Gaussian, "sample", spy_sample)
+        estimate_fidelity(PLUS, REF_CHANNEL, Gaussian(0.0, 1.42), PERFECT, trials,
+                          np.random.default_rng(3))
+        blocks = math.ceil(trials / 7)
+        assert len(bell_sizes) == blocks and len(noise_sizes) == 2 * blocks
+        assert max(bell_sizes + noise_sizes) <= 7
+        assert sum(bell_sizes) == trials
+
+    @pytest.mark.parametrize("trials", [1, 6, 7, 8, 14, 15])
+    def test_blocks_are_consecutive_single_block_calls(self, monkeypatch, trials):
+        # A blocked call draws what single-block calls of sizes 7, 7, ...,
+        # remainder draw one after another from the same stream, and
+        # averages their trials.
+        monkeypatch.setattr(analysis, "_BLOCK", 7)
+        args = (PLUS, REF_CHANNEL, Gaussian(0.0, 1.42), EntanglementResource(0.8))
+        blocked = estimate_fidelity(*args, trials, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        sizes = [min(7, trials - start) for start in range(0, trials, 7)]
+        weighted = sum(n * estimate_fidelity(*args, n, rng) for n in sizes) / trials
+        assert blocked == pytest.approx(weighted, abs=1e-15)
+
+    def test_blocked_sweep_is_worker_independent(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_BLOCK", 7)
+        kwargs = dict(state=PLUS, config=REF_CHANNEL, noise_family=Gaussian(0.0, 1.0),
+                      scales=default_scale_grid(6), runs=3, trials_per_run=50,
+                      resource=EntanglementResource(0.8), master_seed=5)
+        one, two = (sweep(**kwargs, workers=w) for w in (1, 2))
+        assert one.to_csv() == two.to_csv()
+        assert one.to_json_dict() == two.to_json_dict()
 
 
 class TestSweep:
@@ -470,3 +521,30 @@ class TestOwnNumbers:
     def test_rejects_and_names_the_field(self, build, field):
         with pytest.raises(ValueError, match=field):
             build()
+
+
+STATES = st.one_of(
+    st.sampled_from(["zero", "one", "plus", "i-plus"]).map(QubitState.preset),
+    st.builds(lambda a, b, c, d: QubitState.normalized(complex(a, b), complex(c, d)),
+              st.floats(0.1, 1.0), *[st.floats(-1.0, 1.0)] * 3),
+)
+SUBTHRESHOLD = st.builds(lambda a, gap: ChannelConfig(a, a + gap),
+                         st.floats(0.01, 5.0), st.floats(1e-3, 5.0))
+
+
+class TestProperties:
+    @given(state=STATES, config=SUBTHRESHOLD, model=MODELS, werner_f=st.floats(0.0, 1.0))
+    def test_fidelity_band_and_nonnegative_detection_gap(self, state, config, model, werner_f):
+        assert detection_probabilities(config, model).P >= 0.0
+        value = analytic_at(pauli_weights(state), config, model, EntanglementResource(werner_f))
+        assert 0.5 <= value <= 1.0
+
+    @settings(max_examples=25)
+    @given(state=STATES, config=SUBTHRESHOLD, model=MODELS, werner_f=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32))
+    def test_small_sweep_is_worker_independent(self, state, config, model, werner_f, seed):
+        kwargs = dict(state=state, config=config, noise_family=model, scales=[0.3, 1.0, 2.5],
+                      runs=2, trials_per_run=50, resource=EntanglementResource(werner_f),
+                      smoothing_window=3, master_seed=seed)
+        one, two = (sweep(**kwargs, workers=w) for w in (1, 2))
+        assert one.to_csv() == two.to_csv()

@@ -431,10 +431,12 @@ class TestTopLevelErrors:
         (("noise", "kind"), '"levy"', "unknown noise kind 'levy'"),
         (("noise", "kind"), '["gaussian"]', "unknown noise kind ['gaussian']"),
         (("channel", "allow_suprathreshold"), '"no"', "channel.allow_suprathreshold"),
+        (("sweep", "count"), "5", "not both"),
     ], ids=["nan-mean", "inf-threshold", "1e999-threshold", "huge-int-threshold",
             "bool-threshold", "string-amplitude", "string-werner-f", "nan-alpha",
             "nan-scale", "missing-stable-alpha", "non-object-channel", "unknown-channel-key",
-            "unknown-noise-kind", "list-noise-kind", "string-allow-suprathreshold"])
+            "unknown-noise-kind", "list-noise-kind", "string-allow-suprathreshold",
+            "count-next-to-scales"])
     def test_non_finite_or_mistyped_number_exits_2(self, capsys, tmp_path, path, literal, field):
         raw = base_config()
         holder = raw
