@@ -16,9 +16,9 @@ test suite checks both against independent references.
 
 A stable variate is the location-scale image of a standard (gamma = 1,
 location 0) Chambers-Mallows-Stuck draw.  Stable families without a closed
-form get their CDF from an empirical table: ``cdf_draws`` standard draws,
-sorted once per (alpha, skew, cdf_draws), and each scale's table is the
-affine image of that sorted table.
+form get an empirical CDF: ``cdf_draws`` standard draws are sorted once per
+(alpha, skew, cdf_draws), and each model counts the entries whose image under
+its own location-scale map is <= x.  No per-scale table is built.
 
 Every model is an immutable value.  Sampling takes an explicit
 ``numpy.random.Generator`` so independent workers can hold independent
@@ -27,6 +27,7 @@ streams.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 import sys
@@ -205,8 +206,8 @@ class AlphaStable(NoiseModel):
     [-1, 1], ``gamma`` the dispersion (> 0) and ``location`` the shift.
     ``cdf_draws`` sizes the empirical CDF used when no closed form exists
     (alpha=2 and symmetric alpha=1 have closed forms): one sorted table of
-    that many standard draws per (alpha, skew), whose affine image under
-    this model's location-scale map is the table of each scale.
+    that many standard draws per (alpha, skew), shared by every scale, whose
+    entries each model counts through its own location-scale map.
     """
 
     alpha: float
@@ -242,7 +243,7 @@ class AlphaStable(NoiseModel):
     def _rescale(self, z):
         """Map standard (gamma = 1, location 0) draws ``z`` onto this model.
 
-        A positive affine map, so it keeps the order of a sorted table.
+        Positive affine, so non-decreasing even in floats: ``cdf`` bisects through it.
         """
         if abs(self.alpha - 1.0) < _ALPHA_ONE_EPS:
             beta = -self.skew
@@ -256,8 +257,8 @@ class AlphaStable(NoiseModel):
             return 0.5 * (1.0 + math.erf((x - self.location) / (2.0 * math.sqrt(self.gamma))))
         if self._is_cauchy_form:
             return 0.5 + math.atan((x - self.location) / self.gamma) / math.pi
-        table = _empirical_cdf_table(self)
-        return float(np.searchsorted(table, x, side="right")) / table.size
+        standard = _empirical_cdf_table(self)
+        return bisect.bisect_right(standard, x, key=self._rescale) / standard.size
 
     @property
     def has_exact_cdf(self):
@@ -314,23 +315,22 @@ def _cms_standard_alpha_one(beta, u, w):
 def _standard_table(alpha: float, skew: float, draws: int) -> np.ndarray:
     """Sorted standard draws of one stable shape, from the fixed table seed."""
     rng = np.random.default_rng(np.random.SeedSequence(_EMPIRICAL_CDF_SEED))
-    table = np.sort(_standard_stable(alpha, skew, rng, draws))
+    table = _standard_stable(alpha, skew, rng, draws)
+    table.sort()
     table.setflags(write=False)
     return table
 
 
 @lru_cache(maxsize=4)
 def _empirical_cdf_table(model: AlphaStable) -> np.ndarray:
-    """Sorted table of ``model.cdf_draws`` draws of ``model``.
+    """The shared sorted standard table behind ``model.cdf`` (not a copy).
 
-    Equal to sorting ``model.sample`` on a fresh stream from the table seed,
-    since the draws are the standard ones mapped through a positive affine map.
+    ``model.cdf`` counts its entries through ``model._rescale``, so no scaled
+    table is built.  The per-model cache stays because ``bench/child.py``
+    counts table lookups by its ``cache_info()``; it also spares the lock on repeats.
     """
     with _STANDARD_TABLE_LOCK:
-        standard = _standard_table(model.alpha, model.skew, model.cdf_draws)
-    table = model._rescale(standard)
-    table.setflags(write=False)
-    return table
+        return _standard_table(model.alpha, model.skew, model.cdf_draws)
 
 
 def classify(model: NoiseModel) -> NoiseClassification:

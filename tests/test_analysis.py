@@ -317,9 +317,10 @@ class TestSweep:
         assert a.to_csv() == b.to_csv() == c.to_csv()
 
     def test_stable_sweep_builds_one_standard_table(self, monkeypatch):
-        # A fresh cache counts this sweep's builds; a draw count no other
-        # test uses keeps per-scale tables out of the cache.  A short switch
-        # interval makes the two workers race for the first table.
+        # A fresh cache counts this sweep's builds; no other test looks up
+        # this draw count at the sweep's scales, so no model lookup is cached
+        # yet.  A short switch interval makes the two workers race for the
+        # first table.
         monkeypatch.setattr(noise, "_standard_table",
                             lru_cache(maxsize=4)(noise._standard_table.__wrapped__))
         family = AlphaStable(1.5, 0.5, cdf_draws=200_003)

@@ -6,6 +6,7 @@ checked on a fine grid of noise centers including the exact endpoints.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,19 @@ class TestDetectionProbabilities:
         assert not stats.cdf_exact
         assert stats.cdf_draws == 50_000
         assert stats.P >= 0.0
+
+    def test_new_scale_builds_no_scaled_table(self):
+        # Every scale counts the one shared standard table through its own
+        # map; a scaled copy of it would take 8 bytes per draw, 1.6 MB here.
+        family = AlphaStable(1.5, 0.5, cdf_draws=200_003)
+        detection_probabilities(REF_CHANNEL, family)  # builds the standard table
+        tracemalloc.start()
+        try:
+            detection_probabilities(REF_CHANNEL, family.with_scale(0.731))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_stats_validation(self):
         with pytest.raises(ValueError, match="row sums"):

@@ -126,13 +126,19 @@ class TestCdf:
         AlphaStable(1.5, 0.5, 2.5, -0.3, cdf_draws=5_001),
         AlphaStable(1.0, 0.3, 0.6, 0.2, cdf_draws=5_001),
         AlphaStable(1.0, 0.3, 1.7, 0.2, cdf_draws=5_001),
-    ], ids=["alpha1.5-gamma0.4", "alpha1.5-gamma2.5", "alpha1-gamma0.6", "alpha1-gamma1.7"])
+        AlphaStable(1.0, 0.3, 1e-4, 0.2, cdf_draws=5_001),
+    ], ids=["alpha1.5-gamma0.4", "alpha1.5-gamma2.5", "alpha1-gamma0.6", "alpha1-gamma1.7",
+            "alpha1-gamma1e-4"])
     def test_table_is_the_sorted_sample_of_the_model(self, model):
-        # The table is the rescaled standard table; it must equal sorting
-        # the model's own draws from the table seed, bit for bit.
+        # cdf counts the shared standard table through the model's map; it
+        # must equal the empirical CDF of the model's own draws from the table
+        # seed, bit for bit, at every draw and on both sides of it.
         rng = np.random.default_rng(np.random.SeedSequence(noise._EMPIRICAL_CDF_SEED))
         expected = np.sort(model.sample(rng, model.cdf_draws))
-        assert noise._empirical_cdf_table(model).tobytes() == expected.tobytes()
+        points = np.concatenate([expected, np.nextafter(expected, -np.inf),
+                                 np.nextafter(expected, np.inf)])
+        want = np.searchsorted(expected, points, side="right") / expected.size
+        assert [model.cdf(x) for x in points] == want.tolist()
 
 
 class TestSampler:
