@@ -7,16 +7,17 @@ channel, the teleportation fidelity is
     F = 1/2 + w * P * (qx + qz + qxz * P) / 2
 
 where w in [0, 1] is the entanglement quality (w = 1 for a perfect shared
-pair).  Monte Carlo estimation samples the protocol's bit layer and averages
-the same per-trial overlap the formula averages analytically, which keeps the
-estimator unbiased without sampling a terminal quantum measurement.
+pair).  Monte Carlo estimation samples the protocol's bit layer and counts
+the four net corrections (y1 xor s1, y2 xor s2); the formula averages the
+same per-correction overlaps analytically, so the estimator is unbiased
+without sampling a terminal quantum measurement.
 
 Sweeps derive one random stream per (scale, run) cell from a master seed, so
 results are bit-identical regardless of worker count or execution order.
 Within a call, :func:`estimate_fidelity` runs its trials in blocks of
-``_BLOCK`` (65,536); each block draws its measurement bits ``s1`` then
-``s2``, then the channel noise for ``y1`` then ``y2``.  Memory per call is
-bounded by the block, not by the trial count.
+``_BLOCK`` (65,536); each block draws its measurement bits ``s1`` and ``s2``
+in one draw, then the channel noise for ``y1``, then for ``y2``.  Memory per
+call is bounded by the block, not by the trial count.
 """
 
 from __future__ import annotations
@@ -129,32 +130,31 @@ def estimate_fidelity(state: QubitState, config: ChannelConfig, noise: NoiseMode
 
     Vectorized in blocks of at most ``_BLOCK`` trials, so memory stays
     bounded however large ``trials`` is.  Each block draws its measurement
-    bits ``s1`` then ``s2``, then the channel noise for ``y1`` then ``y2``.
-    Up to ``_BLOCK`` trials that is one block, and the result is the plain
-    mean of the per-trial values.  Each trial's fidelity is computed exactly
-    from the net correction bits (y xor s) instead of sampling Bob's final
-    measurement; the expectation is unchanged and the variance smaller.
-    Converges to :func:`analytic_fidelity` as the trial count grows.
+    bits ``s1`` and ``s2`` in one draw (:func:`bell_measure`), then the
+    channel noise for ``y1``, then for ``y2``.  Each trial's fidelity is
+    exact given its net correction bits (y xor s), so the trials are
+    counted per correction and the result is the Werner-mixed mean of the
+    overlap table over those counts: the mean of the per-trial values,
+    without sampling Bob's final measurement (same expectation, smaller
+    variance).  Converges to :func:`analytic_fidelity` as the trial count
+    grows.
     """
     integer_at_least(trials, "trials", 1)
     table = pauli_weights(state).overlap_table()
-    total = 0.0
+    counts = np.zeros(4, dtype=np.int64)
     for start in range(0, trials, _BLOCK):
         n = min(_BLOCK, trials - start)
         s = bell_measure(rng, n)
-        y1 = transmit_bits(s.s1, config, noise, rng)
-        y2 = transmit_bits(s.s2, config, noise, rng)
-        # table[2 * (y1 ^ s1) + (y2 ^ s2)], then the Werner mix, in place: each
-        # block frees few large arrays, so the allocator keeps reusing its pages.
-        y1 ^= s.s1
-        y1 <<= 1
-        y2 ^= s.s2
-        y1 += y2
-        per_trial = table[y1]
-        per_trial *= resource.werner_f
-        per_trial += (1.0 - resource.werner_f) / 2.0
-        total += per_trial.sum()
-    return float(total / trials)
+        e1 = transmit_bits(s.s1, config, noise, rng)
+        e2 = transmit_bits(s.s2, config, noise, rng)
+        e1 ^= s.s1
+        e2 ^= s.s2
+        # Trials per net correction 2 * e1 + e2: none, Z, X, XZ.
+        n1, n2 = np.count_nonzero(e1), np.count_nonzero(e2)
+        both = np.count_nonzero(e1 & e2)
+        counts += (n - n1 - n2 + both, n2 - both, n1 - both, both)
+    w = resource.werner_f
+    return float(w * (counts @ table) / trials + (1.0 - w) / 2.0)
 
 
 def check_scales(values, where: str, descending: bool = False) -> tuple[float, ...]:

@@ -134,11 +134,21 @@ def detect(received, config: ChannelConfig) -> np.ndarray:
 
 def transmit_bits(bits: np.ndarray, config: ChannelConfig, noise: NoiseModel,
                   rng: np.random.Generator) -> np.ndarray:
-    """Vectorized transmission of a bit array, one noise draw per bit."""
+    """Vectorized transmission of a bit array, one noise draw per bit; bool detections.
+
+    Tests ``noise > threshold - amplitude`` for bit 1 and ``noise > threshold +
+    amplitude`` for bit 0: the event ``detect(noise + encode(bits))`` tests, up
+    to rounding at the cut.  Bits that are not bool get :func:`encode`'s checks.
+    """
     bits = np.asarray(bits)
+    if bits.dtype != bool:
+        bits = encode(bits, config) > 0
     received = noise.sample(rng, bits.size)
-    received += encode(bits, config)
-    return detect(received, config)
+    # amplitude > 0, so noise past the bit-0 cut is past the bit-1 cut too.
+    out = received > config.threshold - config.amplitude
+    out &= bits
+    out |= received > config.threshold + config.amplitude
+    return out
 
 
 def detection_probabilities(config: ChannelConfig, noise: NoiseModel) -> DetectionStats:

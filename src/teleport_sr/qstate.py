@@ -119,7 +119,7 @@ class PauliWeights:
 
 
 class BellBits(NamedTuple):
-    """The two classical bits of a Bell measurement: ints, or int arrays for a batch."""
+    """The two classical bits of a Bell measurement: 0/1 ints, or bool arrays for a batch."""
 
     s1: "int | np.ndarray"
     s2: "int | np.ndarray"
@@ -166,10 +166,11 @@ def bell_measure(rng: np.random.Generator, size: int) -> BellBits:
     The full two-qubit measurement statistics reduce to exactly this (each of
     the four outcomes has probability 1/4 regardless of the input state), so
     no state vector is collapsed here; the equivalence is covered by a
-    brute-force collapse test.  All ``s1`` bits are drawn before all ``s2``
-    bits.
+    brute-force collapse test.  One draw of a ``(2, size)`` bool array gives
+    all ``s1`` bits (row 0) and all ``s2`` bits (row 1).
     """
-    return BellBits(rng.integers(0, 2, size), rng.integers(0, 2, size))
+    s1, s2 = rng.integers(0, 2, (2, size), dtype=bool)
+    return BellBits(s1, s2)
 
 
 def corrected_state(state: QubitState, s: BellBits, y: BellBits) -> QubitState:

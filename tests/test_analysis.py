@@ -30,10 +30,17 @@ from teleport_sr.analysis import (
     sweep,
     theorem_limit_check,
 )
-from teleport_sr.channel import ChannelConfig, DetectionStats, detection_probabilities
+from teleport_sr.channel import (
+    ChannelConfig,
+    DetectionStats,
+    detect,
+    detection_probabilities,
+    encode,
+)
 from teleport_sr.noise import AlphaStable, Gaussian, Laplace, Uniform
 from teleport_sr.qstate import (
     QubitState,
+    bell_measure,
     bob_mixed_state,
     fidelity_against,
     pauli_weights,
@@ -195,6 +202,21 @@ class TestEstimateFidelity:
         state = random_state(rng)
         est = estimate_fidelity(state, REF_CHANNEL, Gaussian(0.0, 1e-12), PERFECT, 4000, rng)
         assert est == pytest.approx(0.5, abs=0.035)
+
+    def test_counts_give_the_mean_of_per_trial_values(self):
+        # Rebuild every trial from the same stream: its fidelity is the
+        # Werner-mixed overlap of its net correction, table[2 * e1 + e2].
+        state = random_state(np.random.default_rng(17))
+        model, resource, trials = Laplace(0.3, 1.2), EntanglementResource(0.8), 50_000
+        est = estimate_fidelity(state, REF_CHANNEL, model, resource, trials,
+                                np.random.default_rng(18))
+        rng = np.random.default_rng(18)
+        s = bell_measure(rng, trials)
+        y1, y2 = (detect(model.sample(rng, trials) + encode(bits, REF_CHANNEL), REF_CHANNEL)
+                  for bits in (s.s1, s.s2))
+        e1, e2 = y1 ^ s.s1, y2 ^ s.s2
+        per_trial = 0.8 * pauli_weights(state).overlap_table()[2 * e1 + e2] + (1 - 0.8) / 2
+        assert est == pytest.approx(per_trial.mean(), abs=1e-15)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):

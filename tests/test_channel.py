@@ -126,6 +126,28 @@ class TestTransmit:
             band = 4.0 * math.sqrt(max(expected * (1 - expected), 1e-12) / n)
             assert abs(freq - expected) < max(band, 1e-4)
 
+    @pytest.mark.parametrize("model", [
+        Gaussian(0.0, 1.42),
+        Laplace(-0.2, 1.1),
+        AlphaStable(1.5, 0.5),
+    ])
+    @pytest.mark.parametrize("dtype", [np.int64, bool])
+    def test_threshold_compares_detect_the_encoded_sum(self, model, dtype):
+        # noise > threshold -/+ amplitude is the event noise +/- amplitude > threshold.
+        bits = np.random.default_rng(7).integers(0, 2, 1_000_000).astype(dtype)
+        out = transmit_bits(bits, REF_CHANNEL, model, np.random.default_rng(8))
+        received = model.sample(np.random.default_rng(8), bits.size) + encode(bits, REF_CHANNEL)
+        assert out.dtype == bool
+        np.testing.assert_array_equal(out, detect(received, REF_CHANNEL))
+
+    def test_keeps_the_bit_checks_of_encode(self):
+        rng = np.random.default_rng(9)
+        for bad in ([0, 2, 1], [1, -1]):
+            with pytest.raises(ValueError, match="0 or 1"):
+                transmit_bits(np.array(bad), REF_CHANNEL, Gaussian(0.0, 1.42), rng)
+        with pytest.raises(TypeError):
+            transmit_bits(np.array([0.0, 1.0]), REF_CHANNEL, Gaussian(0.0, 1.42), rng)
+
     def test_transmit_bits_vectorizes_mixed_bits(self):
         rng = np.random.default_rng(6)
         bits = rng.integers(0, 2, 100_000)

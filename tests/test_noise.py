@@ -33,12 +33,20 @@ GRID = np.linspace(-8.0, 8.0, 101)
 def ks_statistic(samples, reference) -> float:
     """Kolmogorov-Smirnov distance between ``samples`` and ``reference``.
 
-    A noise model's CDF takes one point at a time; a scipy distribution's
-    CDF is evaluated once, on the whole sorted sample.
+    A noise model's CDF takes one point at a time, except an empirical-table
+    stable model's: that is its table's empirical CDF through the model's
+    location-scale map, evaluated on the whole sorted sample once it matches
+    ``cdf`` bit for bit on 1,000 of the points.  A scipy distribution's CDF
+    is evaluated once, on the whole sorted sample.
     """
     x = np.sort(np.asarray(samples))
     n = x.size
-    if isinstance(reference, noise.NoiseModel):
+    if isinstance(reference, noise.NoiseModel) and not reference.has_exact_cdf:
+        table = noise._empirical_cdf_table(reference)
+        values = np.searchsorted(reference._rescale(table), x, side="right") / table.size
+        picks = slice(None, None, max(1, n // 1000))
+        assert [reference.cdf(v) for v in x[picks]] == values[picks].tolist()
+    elif isinstance(reference, noise.NoiseModel):
         values = np.array([reference.cdf(v) for v in x])
     else:
         values = reference.cdf(x)

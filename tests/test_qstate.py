@@ -167,11 +167,11 @@ class TestBellMeasure:
     def test_batch_is_bellbits_of_bit_arrays(self):
         batch = bell_measure(np.random.default_rng(21), 16)
         assert isinstance(batch, BellBits)
-        # All s1 bits come first, then all s2 bits, from the same stream.
-        rng = np.random.default_rng(21)
-        np.testing.assert_array_equal(batch.s1, rng.integers(0, 2, 16))
-        np.testing.assert_array_equal(batch.s2, rng.integers(0, 2, 16))
-        assert set(np.unique(batch.s1)) | set(np.unique(batch.s2)) <= {0, 1}
+        assert batch.s1.dtype == batch.s2.dtype == bool
+        # One draw of a (2, n) bool array: s1 is row 0, s2 is row 1.
+        rows = np.random.default_rng(21).integers(0, 2, (2, 16), dtype=bool)
+        np.testing.assert_array_equal(batch.s1, rows[0])
+        np.testing.assert_array_equal(batch.s2, rows[1])
 
     def test_matches_full_state_vector_collapse(self):
         # The fair-bit shortcut must agree with the real measurement: every
