@@ -15,10 +15,11 @@ The sampler and the CDFs below agree with each other in this convention; the
 test suite checks both against independent references.
 
 A stable variate is the location-scale image of a standard (gamma = 1,
-location 0) Chambers-Mallows-Stuck draw.  Stable families without a closed
-form get an empirical CDF: ``cdf_draws`` standard draws are sorted once per
-(alpha, skew, cdf_draws), and each model counts the entries whose image under
-its own location-scale map is <= x.  No per-scale table is built.
+location 0) Chambers-Mallows-Stuck draw from half-angle tangents, transformed
+in place in chunks.  Stable families without a closed form get an empirical
+CDF: ``cdf_draws`` standard draws are sorted once per (alpha, skew,
+cdf_draws), and each model counts the entries whose image under its own
+location-scale map is <= x.  No per-scale table is built.
 
 Every model is an immutable value.  Sampling takes an explicit
 ``numpy.random.Generator`` so independent workers can hold independent
@@ -64,6 +65,10 @@ _EMPIRICAL_CDF_SEED = 851530
 _STANDARD_TABLE_LOCK = threading.Lock()
 
 _SQRT2 = math.sqrt(2.0)
+
+# Draws per in-place pass of the stable transform: bounds its scratch memory
+# and keeps a sweep cell's 10^4 draws in one pass.
+_CHUNK = 1 << 14
 
 
 class NoiseClass(enum.Enum):
@@ -237,8 +242,7 @@ class AlphaStable(NoiseModel):
         return abs(self.alpha - 1.0) < _ALPHA_ONE_EPS and self.skew == 0.0
 
     def sample(self, rng, size=None):
-        out = self._rescale(_standard_stable(self.alpha, self.skew, rng, size))
-        return float(out) if size is None else out
+        return self._rescale(_standard_stable(self.alpha, self.skew, rng, size))
 
     def _rescale(self, z):
         """Map standard (gamma = 1, location 0) draws ``z`` onto this model.
@@ -276,39 +280,57 @@ class AlphaStable(NoiseModel):
 
 
 def _standard_stable(alpha, skew, rng, size):
-    """Standard stable draws (gamma = 1, location 0): all angles, then all exponentials."""
-    u = rng.uniform(-math.pi / 2, math.pi / 2, size)
-    w = rng.exponential(1.0, size)
+    """Standard stable draws (gamma = 1, location 0): all angles, then all
+    exponentials, then the transform in place, ``_CHUNK`` draws at a time."""
+    u = np.atleast_1d(rng.uniform(-math.pi / 2, math.pi / 2, size))
+    w = np.atleast_1d(rng.standard_exponential(size))
     # The documented skew convention is the sign flip of the textbook
     # 1-parameterization the CMS transform targets.
     beta = -skew
-    if abs(alpha - 1.0) < _ALPHA_ONE_EPS:
-        return _cms_standard_alpha_one(beta, u, w)
-    return _cms_standard(alpha, beta, u, w)
+    transform = _cms_standard_alpha_one if abs(alpha - 1.0) < _ALPHA_ONE_EPS else _cms_standard
+    flat_u, flat_w = u.reshape(-1), w.reshape(-1)
+    scratch = np.empty((2, min(flat_u.size, _CHUNK)))
+    for lo in range(0, flat_u.size, _CHUNK):
+        hi = min(lo + _CHUNK, flat_u.size)
+        transform(alpha, beta, flat_u[lo:hi], flat_w[lo:hi], *scratch[:, : hi - lo])
+    return float(u[0]) if size is None else u
 
 
-def _cms_standard(alpha, beta, u, w):
+def _cms_standard(alpha, beta, u, w, a, c):
     """Chambers-Mallows-Stuck draw of a standard stable variate, alpha != 1.
 
-    ``u`` is uniform on (-pi/2, pi/2) and ``w`` standard exponential.  The
-    output has characteristic function exp{-|t|^alpha (1 - i*beta*sign(t)
-    tan(pi*alpha/2))}.
+    ``u`` is uniform on (-pi/2, pi/2) and ``w`` standard exponential; the draw
+    overwrites ``u``, and ``w``, ``a``, ``c`` are scratch.  The output has
+    characteristic function exp{-|t|^alpha (1 - i*beta*sign(t) tan(pi*alpha/2))}.
+    Half-angle tangents, transformed in place in chunks: with a = alpha*(u +
+    shift), sin a and cos(u - a) come from tan(a/2) and tan((u - a)/2), and
+    cos u from tan u (|u|, |u - a| < pi/2), so no sin or cos is called.
     """
     t = beta * math.tan(math.pi * alpha / 2)
     shift = math.atan(t) / alpha
-    prefactor = (1.0 + t * t) ** (1.0 / (2 * alpha))
-    return (
-        prefactor
-        * np.sin(alpha * (u + shift))
-        / np.cos(u) ** (1.0 / alpha)
-        * (np.cos(u - alpha * (u + shift)) / w) ** ((1.0 - alpha) / alpha)
-    )
+    prefactor = 2.0 * (1.0 + t * t) ** (1.0 / (2 * alpha))
+    np.multiply(np.add(u, shift, out=a), alpha / 2, out=a)  # a/2
+    np.tan(np.subtract(np.multiply(u, 0.5, out=c), a, out=c), out=c)  # tan((u - a)/2)
+    np.tan(a, out=a)
+    np.sqrt(np.add(np.square(np.tan(u, out=u), out=u), 1.0, out=u), out=u)  # 1/cos u
+    w /= u
+    u *= a
+    u /= np.add(np.square(a, out=a), 1.0, out=a)  # sin(a)/(2 cos u)
+    np.subtract(1.0, np.square(c, out=c), out=a)
+    a /= np.multiply(np.add(c, 1.0, out=c), w, out=c)  # cos(u - a)/(w cos u)
+    u *= np.power(a, (1.0 - alpha) / alpha, out=a)
+    u *= prefactor
 
 
-def _cms_standard_alpha_one(beta, u, w):
-    """Alpha=1 branch of the CMS transform (reduces to tan(u) for beta=0)."""
-    b = math.pi / 2 + beta * u
-    return (2 / math.pi) * (b * np.tan(u) - beta * np.log((math.pi / 2) * w * np.cos(u) / b))
+def _cms_standard_alpha_one(alpha, beta, u, w, b, c):
+    """Alpha=1 branch of ``_cms_standard`` (tan u for beta=0); cos u is 1/sqrt(1 + tan^2 u)."""
+    np.add(np.multiply(u, beta, out=b), math.pi / 2, out=b)
+    np.tan(u, out=u)
+    np.multiply(np.sqrt(np.add(np.square(u, out=c), 1.0, out=c), out=c), b, out=c)  # b/cos u
+    np.divide(np.multiply(w, math.pi / 2, out=w), c, out=w)  # (pi/2) w cos u / b
+    u *= b
+    u -= np.multiply(np.log(w, out=w), beta, out=w)
+    u *= 2 / math.pi
 
 
 @lru_cache(maxsize=4)

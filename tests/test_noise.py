@@ -203,6 +203,46 @@ class TestSampler:
             empirical = np.exp(1j * omega * x).mean()
             assert abs(empirical - cmath.exp(exponent)) < 0.01
 
+    @pytest.mark.parametrize("skew", [-1.0, -0.5, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.05, 1.2, 1.5, 1.8, 1.95, 2.0])
+    def test_standard_draws_match_the_trig_form(self, alpha, skew):
+        # The sampler takes sin and cos from half-angle tangents; the
+        # textbook trig form on the same angles and exponentials is the
+        # reference, to rounding, and the sorted order must not change.
+        n = 100_000
+        rng = np.random.default_rng(106)
+        u = rng.uniform(-math.pi / 2, math.pi / 2, n)
+        w = rng.exponential(1.0, n)
+        beta = -skew
+        if alpha == 1.0:
+            b = math.pi / 2 + beta * u
+            log_term = np.log((math.pi / 2) * w * np.cos(u) / b)
+            want = (2 / math.pi) * (b * np.tan(u) - beta * log_term)
+        else:
+            t = beta * math.tan(math.pi * alpha / 2)
+            a = alpha * (u + math.atan(t) / alpha)
+            want = ((1.0 + t * t) ** (1.0 / (2 * alpha)) * np.sin(a) / np.cos(u) ** (1.0 / alpha)
+                    * (np.cos(u - a) / w) ** ((1.0 - alpha) / alpha))
+        got = noise._standard_stable(alpha, skew, np.random.default_rng(106), n)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+        np.testing.assert_array_equal(np.argsort(got, kind="stable"),
+                                      np.argsort(want, kind="stable"))
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0])
+    def test_chunks_do_not_change_the_draws(self, monkeypatch, alpha):
+        # Whole is one pass (sizes below the default chunk); the patched
+        # chunk splits the same draws at every boundary case.
+        whole = {size: noise._standard_stable(alpha, 0.5, np.random.default_rng(8), size)
+                 for size in (7, 8, 9, 29, (4, 9))}
+        monkeypatch.setattr(noise, "_CHUNK", 8)
+        for size, want in whole.items():
+            got = noise._standard_stable(alpha, 0.5, np.random.default_rng(8), size)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        scalar = noise._standard_stable(alpha, 0.5, np.random.default_rng(8), None)
+        assert type(scalar) is float
+        assert scalar == noise._standard_stable(alpha, 0.5, np.random.default_rng(8), 1)[0]
+
     def test_replay_and_shapes(self):
         model = AlphaStable(1.5, 0.3, 1.0, 0.0)
         a = model.sample(np.random.default_rng(7), 100)
