@@ -16,8 +16,8 @@ Sweeps derive one random stream per (scale, run) cell from a master seed, so
 results are bit-identical regardless of worker count or execution order.
 Within a call, :func:`estimate_fidelity` runs its trials in blocks of
 ``_BLOCK`` (65,536); each block draws its measurement bits ``s1`` and ``s2``
-in one draw, then the channel noise for ``y1``, then for ``y2``.  Memory per
-call is bounded by the block, not by the trial count.
+in one draw, then the channel noise for ``y1`` and ``y2`` in one draw.
+Memory per call is bounded by the block, not by the trial count.
 """
 
 from __future__ import annotations
@@ -130,25 +130,24 @@ def estimate_fidelity(state: QubitState, config: ChannelConfig, noise: NoiseMode
 
     Vectorized in blocks of at most ``_BLOCK`` trials, so memory stays
     bounded however large ``trials`` is.  Each block draws its measurement
-    bits ``s1`` and ``s2`` in one draw (:func:`bell_measure`), then the
-    channel noise for ``y1``, then for ``y2``.  Each trial's fidelity is
-    exact given its net correction bits (y xor s), so the trials are
-    counted per correction and the result is the Werner-mixed mean of the
-    overlap table over those counts: the mean of the per-trial values,
-    without sampling Bob's final measurement (same expectation, smaller
-    variance).  Converges to :func:`analytic_fidelity` as the trial count
-    grows.
+    bits ``s1`` and ``s2`` in one draw (:func:`bell_measure`), then one
+    noise draw for both (:func:`transmit_bits`, ``y1`` first).  Each
+    trial's fidelity is exact given its net correction bits (y xor s), so
+    the trials are counted per correction and the result is the
+    Werner-mixed mean of the overlap table over those counts: the mean of
+    the per-trial values, without sampling Bob's final measurement (same
+    expectation, smaller variance).  Converges to :func:`analytic_fidelity`
+    as the trial count grows.
     """
     integer_at_least(trials, "trials", 1)
     table = pauli_weights(state).overlap_table()
     counts = np.zeros(4, dtype=np.int64)
     for start in range(0, trials, _BLOCK):
         n = min(_BLOCK, trials - start)
-        s = bell_measure(rng, n)
-        e1 = transmit_bits(s.s1, config, noise, rng)
-        e2 = transmit_bits(s.s2, config, noise, rng)
-        e1 ^= s.s1
-        e2 ^= s.s2
+        s = np.array(bell_measure(rng, n))
+        e = transmit_bits(s, config, noise, rng)
+        e ^= s
+        e1, e2 = e
         # Trials per net correction 2 * e1 + e2: none, Z, X, XZ.
         n1, n2 = np.count_nonzero(e1), np.count_nonzero(e2)
         both = np.count_nonzero(e1 & e2)

@@ -134,7 +134,7 @@ def detect(received, config: ChannelConfig) -> np.ndarray:
 
 def transmit_bits(bits: np.ndarray, config: ChannelConfig, noise: NoiseModel,
                   rng: np.random.Generator) -> np.ndarray:
-    """Vectorized transmission of a bit array, one noise draw per bit; bool detections.
+    """Vectorized transmission of a bit array, one noise draw in C order; bool detections.
 
     Tests ``noise > threshold - amplitude`` for bit 1 and ``noise > threshold +
     amplitude`` for bit 0: the event ``detect(noise + encode(bits))`` tests, up
@@ -143,7 +143,7 @@ def transmit_bits(bits: np.ndarray, config: ChannelConfig, noise: NoiseModel,
     bits = np.asarray(bits)
     if bits.dtype != bool:
         bits = encode(bits, config) > 0
-    received = noise.sample(rng, bits.size)
+    received = noise.sample(rng, bits.size).reshape(bits.shape)
     # amplitude > 0, so noise past the bit-0 cut is past the bit-1 cut too.
     out = received > config.threshold - config.amplitude
     out &= bits

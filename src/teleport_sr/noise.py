@@ -14,8 +14,9 @@ for alpha == 1.  Under this convention alpha=2 is Gaussian with variance
 The sampler and the CDFs below agree with each other in this convention; the
 test suite checks both against independent references.
 
-A stable variate is the location-scale image of a standard (gamma = 1,
-location 0) Chambers-Mallows-Stuck draw from half-angle tangents, transformed
+A Gaussian variate is one value of a Box-Muller pair, and a stable variate
+the location-scale image of a standard (gamma = 1, location 0)
+Chambers-Mallows-Stuck draw; both come from half-angle tangents, transformed
 in place in chunks.  Stable families without a closed form get an empirical
 CDF: ``cdf_draws`` standard draws are sorted once per (alpha, skew,
 cdf_draws), and each model counts the entries whose image under its own
@@ -66,9 +67,10 @@ _STANDARD_TABLE_LOCK = threading.Lock()
 
 _SQRT2 = math.sqrt(2.0)
 
-# Draws per in-place pass of the stable transform: bounds its scratch memory
-# and keeps a sweep cell's 10^4 draws in one pass.
-_CHUNK = 1 << 14
+# Draws per in-place pass of the stable transform, and pairs per pass of the
+# Gaussian one: bounds their scratch memory and keeps a sweep cell's 2 * 10^4
+# draws (both correction bits) in one pass.
+_CHUNK = 1 << 15
 
 
 class NoiseClass(enum.Enum):
@@ -142,6 +144,15 @@ class NoiseModel(ABC):
 
 @dataclass(frozen=True)
 class Gaussian(NoiseModel):
+    """Normal noise; ``sample`` is Box-Muller (Box & Muller 1958) without sin or cos.
+
+    One draw gives ceil(n/2) radius uniforms u1, then as many angle uniforms
+    u2.  With r = sigma*sqrt(-2 log1p(-u1)) (0, not inf, at u1 = 0),
+    t = tan(theta/2) for theta/2 = pi*u2 - pi/2 and q = r/(1 + t^2), a pair
+    is r cos(theta) = 2q - r and r sin(theta) = 2qt.  The n values are all
+    cosines, then the sines, cut to n.
+    """
+
     mean: float = 0.0
     sigma: float = 1.0
 
@@ -149,7 +160,21 @@ class Gaussian(NoiseModel):
     _scale_field = "sigma"
 
     def sample(self, rng, size=None):
-        return rng.normal(self.mean, self.sigma, size)
+        n = 1 if size is None else int(np.prod(size))
+        pairs = rng.random((2, (n + 1) // 2))
+        scratch = np.empty(min(pairs.shape[1], _CHUNK))
+        for lo in range(0, pairs.shape[1], _CHUNK):  # in place, _CHUNK pairs at a time
+            r, t = pairs[:, lo:lo + _CHUNK]
+            q = scratch[: r.size]
+            np.log1p(np.negative(r, out=r), out=r)
+            np.sqrt(np.multiply(r, -2.0 * self.sigma**2, out=r), out=r)
+            np.tan(np.subtract(np.multiply(t, math.pi, out=t), math.pi / 2, out=t), out=t)
+            np.multiply(np.divide(r, np.add(np.square(t, out=q), 1.0, out=q), out=q), 2.0, out=q)
+            np.subtract(q, r, out=r)
+            t *= q
+        out = pairs.reshape(-1)[:n]
+        out += self.mean
+        return float(out[0]) if size is None else out.reshape(size)
 
     def cdf(self, x):
         return 0.5 * (1.0 + math.erf((x - self.mean) / (self.sigma * _SQRT2)))
@@ -326,10 +351,13 @@ def _cms_standard_alpha_one(alpha, beta, u, w, b, c):
     """Alpha=1 branch of ``_cms_standard`` (tan u for beta=0); cos u is 1/sqrt(1 + tan^2 u)."""
     np.add(np.multiply(u, beta, out=b), math.pi / 2, out=b)
     np.tan(u, out=u)
-    np.multiply(np.sqrt(np.add(np.square(u, out=c), 1.0, out=c), out=c), b, out=c)  # b/cos u
-    np.divide(np.multiply(w, math.pi / 2, out=w), c, out=w)  # (pi/2) w cos u / b
+    if beta:  # else the log term is 0; skipping it keeps a w = 0 draw from giving NaN
+        np.multiply(np.sqrt(np.add(np.square(u, out=c), 1.0, out=c), out=c), b, out=c)  # b/cos u
+        np.divide(np.multiply(w, math.pi / 2, out=w), c, out=w)  # (pi/2) w cos u / b
+        np.multiply(np.log(w, out=w), beta, out=w)
     u *= b
-    u -= np.multiply(np.log(w, out=w), beta, out=w)
+    if beta:
+        u -= w
     u *= 2 / math.pi
 
 

@@ -257,7 +257,8 @@ class TestEstimateFidelity:
 
     @pytest.mark.parametrize("trials", [1, 6, 7, 8, 14, 15])
     def test_trials_run_in_bounded_blocks(self, monkeypatch, trials):
-        # Memory is flat in the trial count when no draw exceeds one block.
+        # Memory is flat in the trial count when no draw exceeds one block:
+        # per block one Bell draw of n and one noise draw of 2 n (y1, y2).
         monkeypatch.setattr(analysis, "_BLOCK", 7)
         bell_sizes, noise_sizes = [], []
         bell_measure, sample = analysis.bell_measure, Gaussian.sample
@@ -275,8 +276,9 @@ class TestEstimateFidelity:
         estimate_fidelity(PLUS, REF_CHANNEL, Gaussian(0.0, 1.42), PERFECT, trials,
                           np.random.default_rng(3))
         blocks = math.ceil(trials / 7)
-        assert len(bell_sizes) == blocks and len(noise_sizes) == 2 * blocks
-        assert max(bell_sizes + noise_sizes) <= 7
+        assert len(bell_sizes) == blocks and len(noise_sizes) == blocks
+        assert noise_sizes == [2 * n for n in bell_sizes]
+        assert max(bell_sizes) <= 7
         assert sum(bell_sizes) == trials
 
     @pytest.mark.parametrize("trials", [1, 6, 7, 8, 14, 15])

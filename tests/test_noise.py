@@ -161,6 +161,50 @@ class TestSampler:
             x = AlphaStable(2.0, 0.0, gamma, 0.0).sample(rng, 1_000_000)
             assert x.var() == pytest.approx(2.0 * gamma, rel=0.05)
 
+    @staticmethod
+    def box_muller_trig_form(u, mean, sigma, n):
+        """Textbook Box-Muller on radius uniforms u[0] and angle uniforms u[1]."""
+        r = sigma * np.sqrt(-2.0 * np.log(1.0 - u[0]))
+        theta = 2 * math.pi * u[1] - math.pi
+        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n] + mean
+
+    @pytest.mark.parametrize("n", [1_000_000, 999_999])
+    def test_gaussian_draws_match_the_trig_form(self, n):
+        # Cosines from 2q - r and sines from 2qt; the uniforms are the
+        # radius row, then the angle row, of one equal-seeded draw.
+        got = Gaussian(0.7, 1.42).sample(np.random.default_rng(107), n)
+        u = np.random.default_rng(107).random((2, (n + 1) // 2))
+        np.testing.assert_allclose(got, self.box_muller_trig_form(u, 0.7, 1.42, n),
+                                   rtol=0, atol=1e-12)
+
+    def test_gaussian_extreme_uniforms_give_finite_draws(self):
+        top = 1.0 - 2.0**-53  # largest value Generator.random returns
+        u = np.array([[0.0, 0.0, 0.0, top, top, top], [0.0, 0.5, top, 0.0, 0.5, top]])
+
+        class FixedUniforms:
+            def random(self, shape):
+                assert shape == u.shape
+                return u.copy()
+
+        got = Gaussian(0.0, 1.42).sample(FixedUniforms(), u.size)
+        assert np.isfinite(got).all()
+        np.testing.assert_array_equal(got[[0, 1, 2, 6, 7, 8]], 0.0)
+        np.testing.assert_allclose(got, self.box_muller_trig_form(u, 0.0, 1.42, u.size),
+                                   rtol=0, atol=1e-12)
+
+    def test_gaussian_against_scipy_normal(self):
+        x = Gaussian(0.7, 1.42).sample(np.random.default_rng(108), 1_000_000)
+        assert sps.kstest(x, sps.norm(0.7, 1.42).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("model", [Uniform(0.2, 1.5), Laplace(-0.4, 0.8)])
+    def test_one_draw_of_2n_is_two_draws_of_n(self, model):
+        # Why their Monte Carlo numbers kept every bit when estimate_fidelity
+        # went from two noise draws per block to one.
+        n = 20_001
+        rng = np.random.default_rng(109)
+        two = np.concatenate([model.sample(rng, n), model.sample(rng, n)])
+        np.testing.assert_array_equal(model.sample(np.random.default_rng(109), 2 * n), two)
+
     def test_cauchy_against_closed_form(self):
         rng = np.random.default_rng(103)
         x = AlphaStable(1.0, 0.0, 1.11, 0.0).sample(rng, 100_000)
@@ -228,20 +272,27 @@ class TestSampler:
         np.testing.assert_array_equal(np.argsort(got, kind="stable"),
                                       np.argsort(want, kind="stable"))
 
-    @pytest.mark.parametrize("alpha", [1.5, 1.0])
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, pytest.param(None, id="gaussian")])
     def test_chunks_do_not_change_the_draws(self, monkeypatch, alpha):
         # Whole is one pass (sizes below the default chunk); the patched
-        # chunk splits the same draws at every boundary case.
-        whole = {size: noise._standard_stable(alpha, 0.5, np.random.default_rng(8), size)
-                 for size in (7, 8, 9, 29, (4, 9))}
+        # chunk splits the same draws at every boundary case, in draws for
+        # the stable transform and in pairs (sizes 15-17) for the Gaussian
+        # sampler (alpha None).
+        def draw(size):
+            rng = np.random.default_rng(8)
+            if alpha is None:
+                return Gaussian(0.7, 1.42).sample(rng, size)
+            return noise._standard_stable(alpha, 0.5, rng, size)
+
+        whole = {size: draw(size) for size in (7, 8, 9, 15, 16, 17, 29, (4, 9))}
         monkeypatch.setattr(noise, "_CHUNK", 8)
         for size, want in whole.items():
-            got = noise._standard_stable(alpha, 0.5, np.random.default_rng(8), size)
+            got = draw(size)
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)
-        scalar = noise._standard_stable(alpha, 0.5, np.random.default_rng(8), None)
+        scalar = draw(None)
         assert type(scalar) is float
-        assert scalar == noise._standard_stable(alpha, 0.5, np.random.default_rng(8), 1)[0]
+        assert scalar == draw(1)[0]
 
     def test_replay_and_shapes(self):
         model = AlphaStable(1.5, 0.3, 1.0, 0.0)
