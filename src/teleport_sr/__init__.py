@@ -37,14 +37,10 @@ from .noise import (
     AlphaStable,
     Gaussian,
     Laplace,
-    NoiseClass,
-    NoiseClassification,
     NoiseModel,
     Uniform,
-    classify,
 )
 from .qstate import (
-    BellBits,
     DensityMatrix,
     PauliWeights,
     QubitState,

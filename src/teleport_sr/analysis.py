@@ -144,7 +144,7 @@ def estimate_fidelity(state: QubitState, config: ChannelConfig, noise: NoiseMode
     counts = np.zeros(4, dtype=np.int64)
     for start in range(0, trials, _BLOCK):
         n = min(_BLOCK, trials - start)
-        s = np.array(bell_measure(rng, n))
+        s = bell_measure(rng, n)
         e = transmit_bits(s, config, noise, rng)
         e ^= s
         e1, e2 = e
@@ -257,6 +257,7 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
     if integer_at_least(smoothing_window, "smoothing window", 1) % 2 == 0:
         raise ValueError(f"smoothing window must be odd, got {smoothing_window}")
     integer_at_least(workers, "workers", 1)
+    integer_at_least(master_seed, "master_seed", 0)
 
     weights = pauli_weights(state)
 
@@ -401,6 +402,8 @@ def theorem_limit_check(state: QubitState, config: ChannelConfig, noise_family: 
     dictates.
     """
     scales = check_scales(small_scales, "small_scales", descending=True)
+    if not finite_real(tolerance, "tolerance") >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     weights = pauli_weights(state)
     interval = forbidden_interval(config)
     center = noise_family.center

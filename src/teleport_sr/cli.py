@@ -280,6 +280,7 @@ def cmd_check_interval(cfg: RunConfig, args) -> int:
         "interval": [interval.lo, interval.hi],
         "center": cfg.noise.center,
         "sr_predicted": sr_predicted(cfg.channel, cfg.noise),
+        "theorem": cfg.noise.theorem,
     }, args.format)
     return EXIT_OK
 
@@ -357,6 +358,7 @@ def cmd_theorem_check(cfg: RunConfig, args) -> int:
         cfg.state, cfg.channel, cfg.noise, cfg.resource, cfg.small_scales
     )
     _emit({
+        "theorem": cfg.noise.theorem,
         "center": report.center,
         "interval": list(report.interval),
         "center_inside": report.center_inside,

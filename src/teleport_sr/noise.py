@@ -1,4 +1,4 @@
-"""Additive channel-noise models: sampling, CDFs, and variance classification.
+"""Additive channel-noise models: sampling, CDFs, and the theorem each one falls under.
 
 Four families are supported: Gaussian, Uniform, Laplace and alpha-stable.
 Alpha-stable models follow the "1-parameterization" characteristic function
@@ -30,7 +30,6 @@ streams.
 from __future__ import annotations
 
 import bisect
-import enum
 import math
 import sys
 import threading
@@ -46,9 +45,6 @@ __all__ = [
     "Uniform",
     "Laplace",
     "AlphaStable",
-    "NoiseClass",
-    "NoiseClassification",
-    "classify",
     "finite_real",
     "integer_at_least",
 ]
@@ -73,27 +69,6 @@ _SQRT2 = math.sqrt(2.0)
 _CHUNK = 1 << 15
 
 
-class NoiseClass(enum.Enum):
-    """Hypothesis split of the two noise-benefit theorems."""
-
-    FINITE_VARIANCE = "finite_variance"
-    INFINITE_VARIANCE_STABLE = "infinite_variance_stable"
-
-
-@dataclass(frozen=True)
-class NoiseClassification:
-    """Noise class plus the center/scale the matching theorem talks about.
-
-    ``center`` is the mean for finite-variance noise and the location for
-    infinite-variance stable noise.  ``scale`` is the variance in the
-    finite-variance case and the dispersion gamma in the stable case.
-    """
-
-    kind: NoiseClass
-    center: float
-    scale: float
-
-
 class NoiseModel(ABC):
     """Location-scale base of all noise families.
 
@@ -108,6 +83,8 @@ class NoiseModel(ABC):
     _center_field = "mean"
     _scale_field: str
 
+    # Which of the paper's two forbidden-interval theorems covers the model.
+    theorem = "finite_variance"
     has_exact_cdf = True
     # Draw count behind cdf() when it is an empirical estimate.
     cdf_sample_count = None
@@ -179,10 +156,6 @@ class Gaussian(NoiseModel):
     def cdf(self, x):
         return 0.5 * (1.0 + math.erf((x - self.mean) / (self.sigma * _SQRT2)))
 
-    @property
-    def variance(self):
-        return self.sigma**2
-
 
 @dataclass(frozen=True)
 class Uniform(NoiseModel):
@@ -201,10 +174,6 @@ class Uniform(NoiseModel):
         t = (x - self.mean + self.half_width) / (2.0 * self.half_width)
         return min(max(t, 0.0), 1.0)
 
-    @property
-    def variance(self):
-        return self.half_width**2 / 3.0
-
 
 @dataclass(frozen=True)
 class Laplace(NoiseModel):
@@ -222,10 +191,6 @@ class Laplace(NoiseModel):
         if z < 0:
             return 0.5 * math.exp(z)
         return 1.0 - 0.5 * math.exp(-z)
-
-    @property
-    def variance(self):
-        return 2.0 * self.diversity**2
 
 
 @dataclass(frozen=True)
@@ -290,18 +255,16 @@ class AlphaStable(NoiseModel):
         return bisect.bisect_right(standard, x, key=self._rescale) / standard.size
 
     @property
+    def theorem(self):
+        return "finite_variance" if self._is_gaussian_form else "infinite_variance_stable"
+
+    @property
     def has_exact_cdf(self):
         return self._is_gaussian_form or self._is_cauchy_form
 
     @property
     def cdf_sample_count(self):
         return None if self.has_exact_cdf else self.cdf_draws
-
-    @property
-    def variance(self):
-        if not self._is_gaussian_form:
-            raise ValueError(f"alpha={self.alpha} stable noise has infinite variance")
-        return 2.0 * self.gamma
 
 
 def _standard_stable(alpha, skew, rng, size):
@@ -381,19 +344,6 @@ def _empirical_cdf_table(model: AlphaStable) -> np.ndarray:
     """
     with _STANDARD_TABLE_LOCK:
         return _standard_table(model.alpha, model.skew, model.cdf_draws)
-
-
-def classify(model: NoiseModel) -> NoiseClassification:
-    """Sort a model into the finite-variance or stable theorem hypothesis.
-
-    Alpha-stable noise with alpha < 2 is infinite-variance; everything else
-    (including alpha = 2, which is Gaussian) has finite variance.
-    """
-    if isinstance(model, AlphaStable) and model.alpha < 2.0:
-        return NoiseClassification(
-            NoiseClass.INFINITE_VARIANCE_STABLE, model.center, model.scale
-        )
-    return NoiseClassification(NoiseClass.FINITE_VARIANCE, model.center, model.variance)
 
 
 def finite_real(value, where: str):

@@ -15,17 +15,14 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .channel import DetectionStats
+from .channel import DetectionStats
 
 __all__ = [
     "QubitState",
     "PauliWeights",
-    "BellBits",
     "DensityMatrix",
     "STATE_PRESETS",
     "pauli_weights",
@@ -118,13 +115,6 @@ class PauliWeights:
         return np.array([1.0, self.qz, self.qx, self.qxz])
 
 
-class BellBits(NamedTuple):
-    """The two classical bits of a Bell measurement: 0/1 ints, or bool arrays for a batch."""
-
-    s1: "int | np.ndarray"
-    s2: "int | np.ndarray"
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated 2x2 density matrix (Hermitian, unit trace, PSD)."""
@@ -160,28 +150,28 @@ def pauli_weights(state: QubitState) -> PauliWeights:
     return PauliWeights(qx=float(qx), qz=float(qz), qxz=float(qxz))
 
 
-def bell_measure(rng: np.random.Generator, size: int) -> BellBits:
+def bell_measure(rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` Bell measurements: two independent fair coins each.
 
     The full two-qubit measurement statistics reduce to exactly this (each of
     the four outcomes has probability 1/4 regardless of the input state), so
     no state vector is collapsed here; the equivalence is covered by a
-    brute-force collapse test.  One draw of a ``(2, size)`` bool array gives
-    all ``s1`` bits (row 0) and all ``s2`` bits (row 1).
+    brute-force collapse test.  Returns one ``(2, size)`` bool draw: all
+    ``s1`` bits (row 0) and all ``s2`` bits (row 1).
     """
-    s1, s2 = rng.integers(0, 2, (2, size), dtype=bool)
-    return BellBits(s1, s2)
+    return rng.integers(0, 2, (2, size), dtype=bool)
 
 
-def corrected_state(state: QubitState, s: BellBits, y: BellBits) -> QubitState:
+def corrected_state(state: QubitState, s: tuple[int, int], y: tuple[int, int]) -> QubitState:
     """The receiver's state after the conditional rotation, up to phase.
 
-    Applies ``X^(y1 xor s1) Z^(y2 xor s2)``: the net Pauli left over when the
+    ``s`` = (s1, s2) and ``y`` = (y1, y2) are pairs of 0/1 ints.  Applies
+    ``X^(y1 xor s1) Z^(y2 xor s2)``: the net Pauli left over when the
     measurement produced bits ``s`` but the rotation used detected bits ``y``.
     Matching bits cancel, so the result depends only on the XORs.
     """
-    bx = (s.s1 ^ y.s1) & 1
-    bz = (s.s2 ^ y.s2) & 1
+    bx = (s[0] ^ y[0]) & 1
+    bz = (s[1] ^ y[1]) & 1
     alpha, beta = state.alpha, state.beta
     if bz:
         beta = -beta
@@ -190,31 +180,25 @@ def corrected_state(state: QubitState, s: BellBits, y: BellBits) -> QubitState:
     return QubitState(alpha, beta)
 
 
-def _validate_conditionals(stats) -> None:
-    for name in ("p00", "p01", "p10", "p11"):
-        v = getattr(stats, name)
-        if not -_ATOL <= v <= 1 + _ATOL:
-            raise ValueError(f"{name}={v} is not a probability")
-    if abs(stats.p00 + stats.p10 - 1.0) > _ATOL or abs(stats.p01 + stats.p11 - 1.0) > _ATOL:
-        raise ValueError("conditional probability rows must each sum to 1")
-
-
-def bob_mixed_state(state: QubitState, stats: "DetectionStats") -> DensityMatrix:
+def bob_mixed_state(state: QubitState, stats: DetectionStats) -> DensityMatrix:
     """The receiver's mixed state, assembled term by term.
 
-    Averages the projector of the net-corrected state over all 16 joint
-    values of measurement bits (s1, s2) and detected bits (y1, y2), weighting
-    by p(y1|s1) p(y2|s2) / 4.  Kept as an explicit 16-term sum: this is the
+    ``stats`` must be a :class:`DetectionStats`, whose construction checked
+    its conditional rows; anything else raises TypeError.  Averages the
+    projector of the net-corrected state over all 16 joint values of
+    measurement bits (s1, s2) and detected bits (y1, y2), weighting by
+    p(y1|s1) p(y2|s2) / 4.  Kept as an explicit 16-term sum: this is the
     independent route against which the closed fidelity formula is checked.
     """
-    _validate_conditionals(stats)
+    if not isinstance(stats, DetectionStats):
+        raise TypeError(f"bob_mixed_state needs a DetectionStats, got {type(stats).__name__}")
     p = {(0, 0): stats.p00, (0, 1): stats.p01, (1, 0): stats.p10, (1, 1): stats.p11}
     rho = np.zeros((2, 2), dtype=complex)
     for y1 in (0, 1):
         for y2 in (0, 1):
             for s1 in (0, 1):
                 for s2 in (0, 1):
-                    ket = corrected_state(state, BellBits(s1, s2), BellBits(y1, y2)).vector
+                    ket = corrected_state(state, (s1, s2), (y1, y2)).vector
                     rho += 0.25 * p[y1, s1] * p[y2, s2] * np.outer(ket, ket.conj())
     return DensityMatrix(rho)
 

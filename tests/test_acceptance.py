@@ -172,13 +172,13 @@ def test_criterion_06_oracle_equivalence():
 
 def test_criterion_07_measurement_bit_statistics():
     rng = np.random.default_rng(MASTER_SEED)
-    draws = bell_measure(rng, size=1_000_000)
+    b1, b2 = bell_measure(rng, size=1_000_000)
     freq_err = 0.0
     for s1 in (0, 1):
         for s2 in (0, 1):
-            freq = float(np.mean((draws.s1 == s1) & (draws.s2 == s2)))
+            freq = float(np.mean((b1 == s1) & (b2 == s2)))
             freq_err = max(freq_err, abs(freq - 0.25))
-    corr = float(np.corrcoef(draws.s1, draws.s2)[0, 1])
+    corr = float(np.corrcoef(b1, b2)[0, 1])
     ok = freq_err < 0.0015 and abs(corr) < 0.004
     report(7, "measurement bit statistics", ok,
            f"max pair-frequency error {freq_err:.5f} (< 0.0015), |corr| {abs(corr):.5f} (< 0.004)")

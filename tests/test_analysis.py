@@ -211,12 +211,26 @@ class TestEstimateFidelity:
         est = estimate_fidelity(state, REF_CHANNEL, model, resource, trials,
                                 np.random.default_rng(18))
         rng = np.random.default_rng(18)
-        s = bell_measure(rng, trials)
+        s1, s2 = bell_measure(rng, trials)
         y1, y2 = (detect(model.sample(rng, trials) + encode(bits, REF_CHANNEL), REF_CHANNEL)
-                  for bits in (s.s1, s.s2))
-        e1, e2 = y1 ^ s.s1, y2 ^ s.s2
+                  for bits in (s1, s2))
+        e1, e2 = y1 ^ s1, y2 ^ s2
         per_trial = 0.8 * pauli_weights(state).overlap_table()[2 * e1 + e2] + (1 - 0.8) / 2
         assert est == pytest.approx(per_trial.mean(), abs=1e-15)
+
+    @pytest.mark.parametrize("model,trials,seed,expected", [
+        (Gaussian(0.0, 1.42), 10_000, 1, "0x1.2a8f7055ea769p-1"),
+        (Laplace(0.3, 1.2), 10_000, 2, "0x1.2d0e9a0c5c350p-1"),
+        (AlphaStable(1.5, 0.5, 1.0, 0.0), 70_000, 3, "0x1.363bf12a8888ep-1"),  # > one block
+        (AlphaStable(1.0, 0.0, 1.11, 0.0), 10_000, 4, "0x1.19f36a4725ec4p-1"),
+    ], ids=["gaussian", "laplace", "stable-1.5-skew-0.5", "cauchy"])
+    def test_random_stream_is_pinned(self, model, trials, seed, expected):
+        # The stream contract, bit for bit: a change that moves these values
+        # changes every Monte Carlo column and must restate the contract.
+        state = QubitState.normalized(0.6, 0.48 + 0.64j)
+        est = estimate_fidelity(state, REF_CHANNEL, model, EntanglementResource(0.8), trials,
+                                np.random.default_rng(seed))
+        assert est.hex() == expected
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):
@@ -538,11 +552,17 @@ class TestOwnNumbers:
         (lambda: find_optimal_noise(PLUS, REF_CHANNEL, Gaussian(), scale_bounds=("0.5", "2")),
          "scale bounds"),
         (lambda: check_scales([True, 2.0], "grid"), "grid"),
+        *[(lambda seed=seed: sweep(PLUS, REF_CHANNEL, Gaussian(), [1.0], runs=1, trials_per_run=10,
+                                   master_seed=seed), "master_seed") for seed in (True, 1.5, -1)],
+        *[(lambda tol=tol: theorem_limit_check(PLUS, REF_CHANNEL, Gaussian(), tolerance=tol),
+           "tolerance") for tol in (math.nan, -1e-5)],
     ], ids=["gaussian-nan-mean", "laplace-inf-diversity", "stable-nan-location",
             "stable-bool-cdf_draws", "channel-inf-threshold", "channel-str-allow",
             "sweep-bool-runs",
             "sweep-float-runs", "estimate-bool-trials", "sweep-string-scales",
-            "optimum-string-bounds", "bool-scale"])
+            "optimum-string-bounds", "bool-scale", "sweep-bool-master_seed",
+            "sweep-float-master_seed", "sweep-negative-master_seed", "theorem-nan-tolerance",
+            "theorem-negative-tolerance"])
     def test_rejects_and_names_the_field(self, build, field):
         with pytest.raises(ValueError, match=field):
             build()

@@ -403,6 +403,27 @@ class TestTheoremCheckCommand:
         assert len(payload["rows"]) == 2
 
 
+class TestTheoremKey:
+    """Both interval commands name the theorem that covers the noise."""
+
+    @pytest.mark.parametrize("noise,theorem", [
+        ({"kind": "gaussian"}, "finite_variance"),
+        ({"kind": "uniform"}, "finite_variance"),
+        ({"kind": "laplace"}, "finite_variance"),
+        ({"kind": "alpha_stable", "alpha": 2.0, "skew": 0.5}, "finite_variance"),
+        ({"kind": "alpha_stable", "alpha": 1.0}, "infinite_variance_stable"),
+        ({"kind": "alpha_stable", "alpha": 1.5, "skew": 0.5, "cdf_draws": 10_000},
+         "infinite_variance_stable"),
+    ], ids=["gaussian", "uniform", "laplace", "stable-2", "cauchy", "stable-1.5"])
+    @pytest.mark.parametrize("command", ["check-interval", "theorem-check"])
+    def test_theorem_follows_the_variance(self, capsys, config_path, command, noise, theorem):
+        raw = base_config()
+        raw["noise"] = noise
+        code, out, _ = run_cli(capsys, [command, "--config", config_path(raw)])
+        assert code == EXIT_OK
+        assert json.loads(out)["theorem"] == theorem
+
+
 class TestTopLevelErrors:
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["weights", "--config", str(tmp_path / "absent.json")])

@@ -22,9 +22,7 @@ from teleport_sr.noise import (
     AlphaStable,
     Gaussian,
     Laplace,
-    NoiseClass,
     Uniform,
-    classify,
 )
 
 GRID = np.linspace(-8.0, 8.0, 101)
@@ -302,34 +300,6 @@ class TestSampler:
         scalar = model.sample(np.random.default_rng(7))
         assert isinstance(scalar, float)
         assert scalar == model.sample(np.random.default_rng(7))
-
-
-class TestClassify:
-    def test_gaussian_is_finite_variance(self):
-        c = classify(Gaussian(0.7, 1.0))
-        assert c.kind is NoiseClass.FINITE_VARIANCE
-        assert c.center == 0.7
-        assert c.scale == 1.0
-
-    def test_cauchy_is_infinite_variance(self):
-        c = classify(AlphaStable(1.0, 0.0, 1.11, 0.0))
-        assert c.kind is NoiseClass.INFINITE_VARIANCE_STABLE
-        assert c.center == 0.0
-        assert c.scale == 1.11
-
-    def test_alpha_two_is_finite_variance(self):
-        c = classify(AlphaStable(2.0, 0.0, 0.9, -0.2))
-        assert c.kind is NoiseClass.FINITE_VARIANCE
-        assert c.center == -0.2
-        assert c.scale == pytest.approx(1.8)
-
-    def test_uniform_and_laplace_variances(self):
-        assert classify(Uniform(0.0, 1.2)).scale == pytest.approx(1.2**2 / 3)
-        assert classify(Laplace(0.0, 0.8)).scale == pytest.approx(2 * 0.8**2)
-
-    def test_infinite_variance_has_no_variance_accessor(self):
-        with pytest.raises(ValueError, match="infinite variance"):
-            AlphaStable(1.7, 0.0, 1.0, 0.0).variance
 
 
 class TestScaleInterface:

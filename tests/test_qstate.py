@@ -6,15 +6,12 @@ fair-bit Bell measurement against a brute-force three-qubit collapse, and
 the Pauli correction against explicit matrix products.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from teleport_sr.channel import DetectionStats
 from teleport_sr.qstate import (
     STATE_PRESETS,
-    BellBits,
     DensityMatrix,
     PauliWeights,
     QubitState,
@@ -151,27 +148,24 @@ class TestBellMeasure:
     def test_replay_is_deterministic(self):
         a = bell_measure(np.random.default_rng(9), 50)
         b = bell_measure(np.random.default_rng(9), 50)
-        np.testing.assert_array_equal(a.s1, b.s1)
-        np.testing.assert_array_equal(a.s2, b.s2)
+        np.testing.assert_array_equal(a, b)
 
     def test_pair_frequencies_and_independence(self):
         rng = np.random.default_rng(20)
-        draws = bell_measure(rng, size=200_000)
+        b1, b2 = bell_measure(rng, size=200_000)
         for s1 in (0, 1):
             for s2 in (0, 1):
-                freq = np.mean((draws.s1 == s1) & (draws.s2 == s2))
+                freq = np.mean((b1 == s1) & (b2 == s2))
                 assert abs(freq - 0.25) < 0.004  # 4-sigma binomial band
-        corr = np.corrcoef(draws.s1, draws.s2)[0, 1]
+        corr = np.corrcoef(b1, b2)[0, 1]
         assert abs(corr) < 0.009
 
     def test_batch_is_bellbits_of_bit_arrays(self):
         batch = bell_measure(np.random.default_rng(21), 16)
-        assert isinstance(batch, BellBits)
-        assert batch.s1.dtype == batch.s2.dtype == bool
+        assert batch.shape == (2, 16) and batch.dtype == bool
         # One draw of a (2, n) bool array: s1 is row 0, s2 is row 1.
         rows = np.random.default_rng(21).integers(0, 2, (2, 16), dtype=bool)
-        np.testing.assert_array_equal(batch.s1, rows[0])
-        np.testing.assert_array_equal(batch.s2, rows[1])
+        np.testing.assert_array_equal(batch, rows)
 
     def test_matches_full_state_vector_collapse(self):
         # The fair-bit shortcut must agree with the real measurement: every
@@ -192,18 +186,18 @@ class TestCorrectedState:
         rng = np.random.default_rng(31)
         for _ in range(20):
             state = random_state(rng)
-            bits = BellBits(int(rng.integers(2)), int(rng.integers(2)))
+            bits = (int(rng.integers(2)), int(rng.integers(2)))
             out = corrected_state(state, bits, bits)
             assert out.overlap_sq(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_bit_flip(self):
-        out = corrected_state(QubitState(1, 0), BellBits(1, 0), BellBits(0, 0))
+        out = corrected_state(QubitState(1, 0), (1, 0), (0, 0))
         assert out.overlap_sq(QubitState(0, 1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_phase_flip_on_plus(self):
         plus = QubitState.preset("plus")
         minus = QubitState.normalized(1, -1)
-        out = corrected_state(plus, BellBits(0, 1), BellBits(0, 0))
+        out = corrected_state(plus, (0, 1), (0, 0))
         assert out.overlap_sq(minus) == pytest.approx(1.0, abs=1e-12)
         assert out.overlap_sq(plus) == pytest.approx(0.0, abs=1e-12)
 
@@ -211,18 +205,18 @@ class TestCorrectedState:
         rng = np.random.default_rng(32)
         for _ in range(100):
             state = random_state(rng)
-            s = BellBits(int(rng.integers(2)), int(rng.integers(2)))
-            y = BellBits(int(rng.integers(2)), int(rng.integers(2)))
-            expected = (np.linalg.matrix_power(X, s.s1 ^ y.s1)
-                        @ np.linalg.matrix_power(Z, s.s2 ^ y.s2) @ state.vector)
+            s = (int(rng.integers(2)), int(rng.integers(2)))
+            y = (int(rng.integers(2)), int(rng.integers(2)))
+            expected = (np.linalg.matrix_power(X, s[0] ^ y[0])
+                        @ np.linalg.matrix_power(Z, s[1] ^ y[1]) @ state.vector)
             np.testing.assert_allclose(corrected_state(state, s, y).vector, expected, atol=1e-15)
 
     def test_double_application_is_identity_up_to_phase(self):
         rng = np.random.default_rng(33)
         for _ in range(50):
             state = random_state(rng)
-            s = BellBits(int(rng.integers(2)), int(rng.integers(2)))
-            y = BellBits(int(rng.integers(2)), int(rng.integers(2)))
+            s = (int(rng.integers(2)), int(rng.integers(2)))
+            y = (int(rng.integers(2)), int(rng.integers(2)))
             twice = corrected_state(corrected_state(state, s, y), s, y)
             assert twice.overlap_sq(state) == pytest.approx(1.0, abs=1e-12)
 
@@ -253,10 +247,11 @@ class TestBobMixedState:
             assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
     def test_rejects_broken_conditionals(self):
-        # bob_mixed_state revalidates the conditionals it is handed
-        stats = SimpleNamespace(p00=0.9, p01=0.4, p10=0.3, p11=0.6)
-        with pytest.raises(ValueError, match="sum to 1"):
-            bob_mixed_state(QubitState.preset("plus"), stats)
+        # Only a DetectionStats is accepted, and its construction checks the
+        # rows (test_channel), so broken conditionals never reach the sum.
+        rows = {"p00": 0.9, "p01": 0.4, "p10": 0.3, "p11": 0.6}
+        with pytest.raises(TypeError, match="DetectionStats"):
+            bob_mixed_state(QubitState.preset("plus"), rows)
 
 
 class TestFidelityAgainst:
