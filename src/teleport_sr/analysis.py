@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _ATOL = 1e-12
+_SCALE_RTOL = 1e-6
 # Trials per block of estimate_fidelity: bounds its memory at a few MB per
 # call.  A fixed constant, so results never depend on the worker count.
 _BLOCK = 1 << 16
@@ -176,6 +177,7 @@ def check_scales(values, where: str, descending: bool = False) -> tuple[float, .
 
 def default_scale_grid(count: int = 60, lo: float = 0.01, hi: float = 3.0) -> tuple[float, ...]:
     """``count`` linearly spaced noise scales on (lo, hi]; lo is excluded."""
+    integer_at_least(count, "count", 1)
     return tuple(float(x) for x in np.linspace(lo, hi, count + 1)[1:])
 
 
@@ -271,11 +273,8 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
         ])
         return analytic, estimates
 
-    if workers == 1:
-        per_scale = [one_scale(i) for i in range(len(scales))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_scale = list(pool.map(one_scale, range(len(scales))))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        per_scale = list(pool.map(one_scale, range(len(scales))))
 
     analytic = [a for a, _ in per_scale]
     estimates = np.stack([e for _, e in per_scale])
@@ -307,13 +306,21 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
     )
 
 
-def _golden_section_max(fn, lo: float, hi: float, rtol: float = 1e-6):
+def _maximize(fn, lo: float, hi: float):
+    """Maximize ``fn`` on [lo, hi]: the best of 16 evenly spaced points, or the
+    golden-section maximum between its neighbours (bracket narrowed to
+    ``_SCALE_RTOL`` of its midpoint) if better.  The scan finds a maximum on a
+    bound or past a flat stretch, which golden section alone can miss.
+    """
+    grid = [float(x) for x in np.linspace(lo, hi, 16)]
+    values = [fn(x) for x in grid]
+    k = int(np.argmax(values))
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > rtol * 0.5 * (a + b):
+    while b - a > _SCALE_RTOL * 0.5 * (a + b):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -323,27 +330,8 @@ def _golden_section_max(fn, lo: float, hi: float, rtol: float = 1e-6):
             d = a + invphi * (b - a)
             fd = fn(d)
     x = 0.5 * (a + b)
-    return x, fn(x)
-
-
-def _maximize(fn, lo: float, hi: float):
-    """Maximize ``fn`` on [lo, hi]: golden section over the whole interval,
-    checked against a scan of 16 evenly spaced points.
-
-    Golden section follows ties to the left, so a flat stretch (where the
-    detection-probability difference is 0) can hide the maximum from it.
-    When a scanned point beats its result, golden section runs again between
-    that point's neighbours, and the best point seen is returned; the result
-    is never below what the whole-interval search finds.
-    """
-    best = _golden_section_max(fn, lo, hi)
-    grid = [float(x) for x in np.linspace(lo, hi, 16)]
-    values = [fn(x) for x in grid]
-    k = int(np.argmax(values))
-    if values[k] > best[1]:
-        refined = _golden_section_max(fn, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
-        best = max(refined, (grid[k], values[k]), key=lambda point: point[1])
-    return best
+    fx = fn(x)
+    return (x, fx) if fx >= values[k] else (grid[k], values[k])
 
 
 def find_optimal_noise(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
@@ -351,17 +339,19 @@ def find_optimal_noise(state: QubitState, config: ChannelConfig, noise_family: N
                        scale_bounds: tuple[float, float] = (0.01, 3.0)) -> OptimalNoise:
     """Noise scale maximizing the analytic fidelity over ``scale_bounds``.
 
-    Golden-section search over the bounds, checked by a coarse scan that
-    finds a maximum on a bound or past a flat stretch too.  Fidelity is
-    monotone in the detection-probability difference, so this equivalently
-    maximizes that scalar over the scale.  CDF evaluations are
-    exact for closed-form models and deterministic empirical estimates
+    A scan of 16 evenly spaced scales finds a maximum on a bound or past a
+    flat stretch; golden section between the best scale's neighbours refines
+    it to 1e-6 relative.  Fidelity is monotone in the detection-probability
+    difference, so this equivalently maximizes that scalar.  CDF evaluations
+    are exact for closed-form models and deterministic empirical estimates
     otherwise (the model's ``cdf_draws`` is the sampling budget).  Raises
     :class:`MonotoneRegimeError` when the noise center falls inside the
     forbidden interval, where no interior optimum exists.
     """
     if not sr_predicted(config, noise_family):
         raise MonotoneRegimeError(noise_family.center, forbidden_interval(config))
+    if len(scale_bounds) != 2:
+        raise ValueError(f"scale bounds (lo, hi) must hold 2 scales, got {len(scale_bounds)}")
     lo, hi = check_scales(scale_bounds, "scale bounds (lo, hi)")
     weights = pauli_weights(state)
 

@@ -81,32 +81,36 @@ class DetectionStats:
     """Conditional detection probabilities p(y|s) and their difference P.
 
     ``pYS`` naming: p00 = p(y=0|s=0), p01 = p(y=0|s=1), p10 = p(y=1|s=0),
-    p11 = p(y=1|s=1).  P = p00 - p01 = p11 - p10 is the one channel scalar
+    p11 = p(y=1|s=1).  Only the CDF values p00 and p01 are stored; the rest
+    derive from them.  P = p00 - p01 = p11 - p10 is the one channel scalar
     the fidelity depends on.  ``cdf_exact`` is False when the probabilities
     came from an empirical CDF estimate of ``cdf_draws`` samples.
     """
 
     p00: float
     p01: float
-    p10: float
-    p11: float
-    P: float
     cdf_exact: bool = True
     cdf_draws: int | None = None
 
     def __post_init__(self):
-        for name in ("p00", "p01", "p10", "p11"):
+        for name in ("p00", "p01"):
             v = getattr(self, name)
             if not -_ATOL <= v <= 1 + _ATOL:
                 raise ValueError(f"{name}={v} is not a probability")
-        if abs(self.p00 + self.p10 - 1.0) > _ATOL:
-            raise ValueError(f"p(y|s=0) row sums to {self.p00 + self.p10}, not 1")
-        if abs(self.p01 + self.p11 - 1.0) > _ATOL:
-            raise ValueError(f"p(y|s=1) row sums to {self.p01 + self.p11}, not 1")
-        if abs(self.P - (self.p00 - self.p01)) > _ATOL or abs(self.P - (self.p11 - self.p10)) > _ATOL:
-            raise ValueError(f"P={self.P} inconsistent with conditional probabilities")
         if self.P < -_ATOL:
             raise ValueError(f"P={self.P} must be nonnegative")
+
+    @property
+    def p10(self) -> float:
+        return 1.0 - self.p00
+
+    @property
+    def p11(self) -> float:
+        return 1.0 - self.p01
+
+    @property
+    def P(self) -> float:
+        return self.p00 - self.p01
 
 
 def encode(bit, config: ChannelConfig):
@@ -158,14 +162,9 @@ def detection_probabilities(config: ChannelConfig, noise: NoiseModel) -> Detecti
     stays below threshold unless the noise exceeds threshold + A, and a
     transmitted 1 unless it exceeds threshold - A.
     """
-    p00 = noise.cdf(config.threshold + config.amplitude)
-    p01 = noise.cdf(config.threshold - config.amplitude)
     return DetectionStats(
-        p00=p00,
-        p01=p01,
-        p10=1.0 - p00,
-        p11=1.0 - p01,
-        P=p00 - p01,
+        p00=noise.cdf(config.threshold + config.amplitude),
+        p01=noise.cdf(config.threshold - config.amplitude),
         cdf_exact=noise.has_exact_cdf,
         cdf_draws=noise.cdf_sample_count,
     )

@@ -8,7 +8,7 @@ produce byte-identical output.  Subcommands:
     probs           conditional detection probabilities
     simulate        Monte Carlo fidelity estimate
     sweep           fidelity vs noise scale; writes CSV + JSON (+ SVG)
-    optimum         best noise scale (golden-section search, checked by a scan)
+    optimum         best noise scale (a 16-point scan, refined by golden section)
     theorem-check   vanishing-noise fidelity limit
 
 The config format lives here only: every section is an object with no unknown
@@ -262,10 +262,6 @@ def _emit(mapping: dict, fmt: str) -> None:
         print(json.dumps(mapping, separators=(",", ":")))
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 # --- subcommand handlers ---------------------------------------------------
 
 def cmd_weights(cfg: RunConfig, args) -> int:
@@ -295,9 +291,8 @@ def cmd_probs(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    estimate = estimate_fidelity(
-        cfg.state, cfg.channel, cfg.noise, cfg.resource, cfg.trials, _rng(cfg.seed)
-    )
+    estimate = estimate_fidelity(cfg.state, cfg.channel, cfg.noise, cfg.resource, cfg.trials,
+                                 np.random.default_rng(cfg.seed))
     analytic = analytic_at(pauli_weights(cfg.state), cfg.channel, cfg.noise, cfg.resource)
     _emit({
         "fidelity_estimate": estimate,

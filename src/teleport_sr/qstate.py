@@ -184,7 +184,7 @@ def bob_mixed_state(state: QubitState, stats: DetectionStats) -> DensityMatrix:
     """The receiver's mixed state, assembled term by term.
 
     ``stats`` must be a :class:`DetectionStats`, whose construction checked
-    its conditional rows; anything else raises TypeError.  Averages the
+    its probabilities; anything else raises TypeError.  Averages the
     projector of the net-corrected state over all 16 joint values of
     measurement bits (s1, s2) and detected bits (y1, y2), weighting by
     p(y1|s1) p(y2|s2) / 4.  Kept as an explicit 16-term sum: this is the

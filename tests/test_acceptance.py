@@ -158,7 +158,7 @@ def test_criterion_06_oracle_equivalence():
     for _ in range(10_000):
         state = random_state(rng)
         a, b = sorted(rng.uniform(0, 1, 2))
-        stats = DetectionStats(p00=b, p01=a, p10=1 - b, p11=1 - a, P=b - a)
+        stats = DetectionStats(p00=b, p01=a)
         fw = float(rng.uniform(0, 1))
         rho = bob_mixed_state(state, stats).matrix
         mixed = fw * rho + (1 - fw) * np.eye(2) / 2

@@ -4,7 +4,9 @@ The closed fidelity formula is checked against the brute-force mixed-state
 route, Monte Carlo estimates against the closed formula with CLT bands, and
 the optimal-noise search against stationarity closed forms plus a dense grid.
 Property tests check the closed form's band [1/2, 1] and worker-independent
-sweeps over random states, channels and all four noise families.
+sweeps over random states, channels and all four noise families, and the
+paper's two vanishing-noise theorems over random channels and centers for the
+families with a closed-form CDF.
 """
 
 import csv
@@ -36,6 +38,7 @@ from teleport_sr.channel import (
     detect,
     detection_probabilities,
     encode,
+    forbidden_interval,
 )
 from teleport_sr.noise import AlphaStable, Gaussian, Laplace, Uniform
 from teleport_sr.qstate import (
@@ -55,6 +58,8 @@ PERFECT = EntanglementResource(1.0)
 # sigma_opt solves (hi^2 - lo^2) = 2 sigma^2 ln(hi/lo); gamma_opt^2 = lo*hi.
 SIGMA_OPT = math.sqrt((2.7**2 - 0.5**2) / (2 * math.log(2.7 / 0.5)))
 GAMMA_OPT = math.sqrt(0.5 * 2.7)
+# Laplace: b_opt = (hi - lo) / ln(hi/lo).
+LAPLACE_OPT = (2.7 - 0.5) / math.log(2.7 / 0.5)
 
 
 def random_state(rng) -> QubitState:
@@ -64,7 +69,7 @@ def random_state(rng) -> QubitState:
 
 def random_stats(rng) -> DetectionStats:
     a, b = sorted(rng.uniform(0, 1, 2))
-    return DetectionStats(p00=b, p01=a, p10=1 - b, p11=1 - a, P=b - a)
+    return DetectionStats(p00=b, p01=a)
 
 
 class TestAnalyticFidelity:
@@ -459,13 +464,18 @@ class TestFindOptimalNoise:
         assert best.fidelity == pytest.approx(0.6206459348827493, abs=1e-6)
         assert best.fidelity < 2 / 3
 
+    def test_laplace_optimum_against_stationarity(self):
+        best = find_optimal_noise(PLUS, REF_CHANNEL, Laplace(0.0, 1.0), PERFECT, (0.01, 3.0))
+        assert best.scale == pytest.approx(LAPLACE_OPT, rel=5e-7)
+
     def test_dense_grid_cross_check(self):
         # On (0.01, 0.6) the Uniform P is 0 up to 0.5, a plateau golden
         # section alone leaves toward 0.01; the maximum sits on the upper bound.
+        # On (2.8, 3.0) every family's maximum sits on the lower bound.
         w = pauli_weights(PLUS)
         families = (Gaussian(0.0, 1.0), Laplace(0.0, 1.0), AlphaStable(1.0, 0.0, 1.0, 0.0),
                     Uniform(0.0, 1.0))
-        for bounds in ((0.01, 3.0), (0.01, 0.6)):
+        for bounds in ((0.01, 3.0), (0.01, 0.6), (2.8, 3.0)):
             grid = np.linspace(*bounds, 3001)
             for family in families:
                 values = [
@@ -551,7 +561,10 @@ class TestOwnNumbers:
          "scales"),
         (lambda: find_optimal_noise(PLUS, REF_CHANNEL, Gaussian(), scale_bounds=("0.5", "2")),
          "scale bounds"),
+        *[(lambda b=b: find_optimal_noise(PLUS, REF_CHANNEL, Gaussian(), scale_bounds=b),
+           "scale bounds") for b in ((0.5,), (0.5, 1.0, 2.0))],
         (lambda: check_scales([True, 2.0], "grid"), "grid"),
+        *[(lambda c=c: default_scale_grid(c), "count") for c in (True, 0, 2.0)],
         *[(lambda seed=seed: sweep(PLUS, REF_CHANNEL, Gaussian(), [1.0], runs=1, trials_per_run=10,
                                    master_seed=seed), "master_seed") for seed in (True, 1.5, -1)],
         *[(lambda tol=tol: theorem_limit_check(PLUS, REF_CHANNEL, Gaussian(), tolerance=tol),
@@ -560,7 +573,9 @@ class TestOwnNumbers:
             "stable-bool-cdf_draws", "channel-inf-threshold", "channel-str-allow",
             "sweep-bool-runs",
             "sweep-float-runs", "estimate-bool-trials", "sweep-string-scales",
-            "optimum-string-bounds", "bool-scale", "sweep-bool-master_seed",
+            "optimum-string-bounds", "optimum-one-bound", "optimum-three-bounds",
+            "bool-scale", "grid-bool-count", "grid-zero-count", "grid-float-count",
+            "sweep-bool-master_seed",
             "sweep-float-master_seed", "sweep-negative-master_seed", "theorem-nan-tolerance",
             "theorem-negative-tolerance"])
     def test_rejects_and_names_the_field(self, build, field):
@@ -575,9 +590,47 @@ STATES = st.one_of(
 )
 SUBTHRESHOLD = st.builds(lambda a, gap: ChannelConfig(a, a + gap),
                          st.floats(0.01, 5.0), st.floats(1e-3, 5.0))
+# The families with a closed-form CDF, each built from (center, scale).
+EXACT_FAMILIES = st.sampled_from([Gaussian, Uniform, Laplace,
+                                  lambda center, scale: AlphaStable(1.0, 0.0, scale, center)])
+LOG_GRID = [float(s) for s in np.logspace(-3, 3, 61)]
+
+
+@st.composite
+def theorem_cases(draw, inside: bool):
+    """A subthreshold channel and an exact-CDF family whose center lies inside
+    (or outside) the forbidden interval, at least 0.1 from both endpoints."""
+    amplitude = draw(st.floats(0.15, 2.0))
+    config = ChannelConfig(amplitude, amplitude + draw(st.floats(0.05, 3.0)))
+    lo, hi = forbidden_interval(config)
+    if inside:
+        center = draw(st.floats(lo + 0.1, hi - 0.1))
+    else:
+        gap = draw(st.floats(0.1, 3.0))
+        center = draw(st.sampled_from([lo - gap, hi + gap]))
+    return config, draw(EXACT_FAMILIES)(center, 1.0)
+
+
+def fidelity_on_log_grid(config, model):
+    w = pauli_weights(PLUS)
+    return [analytic_at(w, config, model.with_scale(s), PERFECT) for s in LOG_GRID]
 
 
 class TestProperties:
+    @given(case=theorem_cases(inside=True))
+    def test_noise_only_hurts_with_the_center_inside(self, case):
+        config, model = case
+        assert theorem_limit_check(PLUS, config, model).within_tolerance
+        values = fidelity_on_log_grid(config, model)
+        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+    @given(case=theorem_cases(inside=False))
+    def test_noise_helps_with_the_center_outside(self, case):
+        config, model = case
+        assert theorem_limit_check(PLUS, config, model).within_tolerance
+        values = fidelity_on_log_grid(config, model)
+        assert max(values) > max(values[0], values[-1])
+
     @given(state=STATES, config=SUBTHRESHOLD, model=MODELS, werner_f=st.floats(0.0, 1.0))
     def test_fidelity_band_and_nonnegative_detection_gap(self, state, config, model, werner_f):
         assert detection_probabilities(config, model).P >= 0.0

@@ -35,8 +35,7 @@ def random_state(rng) -> QubitState:
 
 def random_stats(rng) -> DetectionStats:
     a, b = sorted(rng.uniform(0, 1, 2))
-    p00, p01 = b, a
-    return DetectionStats(p00=p00, p01=p01, p10=1 - p00, p11=1 - p01, P=p00 - p01)
+    return DetectionStats(p00=b, p01=a)
 
 
 def weights_oracle(state: QubitState):
@@ -223,14 +222,14 @@ class TestCorrectedState:
 
 class TestBobMixedState:
     def test_uninformative_detection_gives_maximally_mixed(self):
-        stats = DetectionStats(p00=0.5, p01=0.5, p10=0.5, p11=0.5, P=0.0)
+        stats = DetectionStats(p00=0.5, p01=0.5)
         rng = np.random.default_rng(41)
         for _ in range(10):
             rho = bob_mixed_state(random_state(rng), stats)
             np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
 
     def test_perfect_detection_reproduces_input(self):
-        stats = DetectionStats(p00=1.0, p01=0.0, p10=0.0, p11=1.0, P=1.0)
+        stats = DetectionStats(p00=1.0, p01=0.0)
         rng = np.random.default_rng(42)
         for _ in range(10):
             state = random_state(rng)
@@ -247,8 +246,8 @@ class TestBobMixedState:
             assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
     def test_rejects_broken_conditionals(self):
-        # Only a DetectionStats is accepted, and its construction checks the
-        # rows (test_channel), so broken conditionals never reach the sum.
+        # Only a DetectionStats is accepted, and it derives each row from one
+        # checked probability (test_channel), so broken rows never reach the sum.
         rows = {"p00": 0.9, "p01": 0.4, "p10": 0.3, "p11": 0.6}
         with pytest.raises(TypeError, match="DetectionStats"):
             bob_mixed_state(QubitState.preset("plus"), rows)
