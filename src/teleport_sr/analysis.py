@@ -57,6 +57,7 @@ __all__ = [
 
 _ATOL = 1e-12
 _SCALE_RTOL = 1e-6
+_LIMIT_TOL = 1e-5
 # Trials per block of estimate_fidelity: bounds its memory at a few MB per
 # call.  A fixed constant, so results never depend on the worker count.
 _BLOCK = 1 << 16
@@ -383,17 +384,15 @@ class TheoremLimitReport:
 
 def theorem_limit_check(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
                         resource: EntanglementResource = EntanglementResource(),
-                        small_scales: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
-                        tolerance: float = 1e-5) -> TheoremLimitReport:
+                        small_scales: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+                        ) -> TheoremLimitReport:
     """Evaluate the vanishing-noise limit of the analytic fidelity.
 
-    ``small_scales`` must descend toward zero; the verdict compares the value
-    at the smallest scale against the limit the forbidden-interval position
-    dictates.
+    ``small_scales`` must descend toward zero; the verdict is whether the
+    value at the smallest scale lies within ``_LIMIT_TOL`` (1e-5) of the limit
+    the forbidden-interval position dictates.
     """
     scales = check_scales(small_scales, "small_scales", descending=True)
-    if not finite_real(tolerance, "tolerance") >= 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     weights = pauli_weights(state)
     interval = forbidden_interval(config)
     center = noise_family.center
@@ -407,6 +406,6 @@ def theorem_limit_check(state: QubitState, config: ChannelConfig, noise_family: 
         interval=(interval.lo, interval.hi),
         center_inside=inside,
         expected_limit=expected,
-        tolerance=tolerance,
-        within_tolerance=abs(values[-1] - expected) <= tolerance,
+        tolerance=_LIMIT_TOL,
+        within_tolerance=abs(values[-1] - expected) <= _LIMIT_TOL,
     )

@@ -83,14 +83,12 @@ class DetectionStats:
     ``pYS`` naming: p00 = p(y=0|s=0), p01 = p(y=0|s=1), p10 = p(y=1|s=0),
     p11 = p(y=1|s=1).  Only the CDF values p00 and p01 are stored; the rest
     derive from them.  P = p00 - p01 = p11 - p10 is the one channel scalar
-    the fidelity depends on.  ``cdf_exact`` is False when the probabilities
-    came from an empirical CDF estimate of ``cdf_draws`` samples.
+    the fidelity depends on.  Whether they are exact is a property of the
+    noise model (``has_exact_cdf``), not of the probabilities.
     """
 
     p00: float
     p01: float
-    cdf_exact: bool = True
-    cdf_draws: int | None = None
 
     def __post_init__(self):
         for name in ("p00", "p01"):
@@ -138,15 +136,15 @@ def detect(received, config: ChannelConfig) -> np.ndarray:
 
 def transmit_bits(bits: np.ndarray, config: ChannelConfig, noise: NoiseModel,
                   rng: np.random.Generator) -> np.ndarray:
-    """Vectorized transmission of a bit array, one noise draw in C order; bool detections.
+    """Vectorized transmission of a bool bit array, one noise draw in C order; bool detections.
 
     Tests ``noise > threshold - amplitude`` for bit 1 and ``noise > threshold +
     amplitude`` for bit 0: the event ``detect(noise + encode(bits))`` tests, up
-    to rounding at the cut.  Bits that are not bool get :func:`encode`'s checks.
+    to rounding at the cut.  Other bit dtypes raise TypeError, before any draw.
     """
     bits = np.asarray(bits)
     if bits.dtype != bool:
-        bits = encode(bits, config) > 0
+        raise TypeError(f"bits must be bool, got dtype {bits.dtype}")
     received = noise.sample(rng, bits.size).reshape(bits.shape)
     # amplitude > 0, so noise past the bit-0 cut is past the bit-1 cut too.
     out = received > config.threshold - config.amplitude
@@ -165,8 +163,6 @@ def detection_probabilities(config: ChannelConfig, noise: NoiseModel) -> Detecti
     return DetectionStats(
         p00=noise.cdf(config.threshold + config.amplitude),
         p01=noise.cdf(config.threshold - config.amplitude),
-        cdf_exact=noise.has_exact_cdf,
-        cdf_draws=noise.cdf_sample_count,
     )
 
 

@@ -24,6 +24,7 @@ sets the sweep worker count (1 when unset); results do not depend on it.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -253,11 +254,11 @@ def _worker_count() -> int:
 
 def _emit(mapping: dict, fmt: str) -> None:
     if fmt == "csv":
-        lines = ["key,value"]
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("key", "value"))
         for key, value in mapping.items():
             text = value if isinstance(value, str) else json.dumps(value, separators=(",", ":"))
-            lines.append(f"{key},{text}")
-        print("\n".join(lines))
+            writer.writerow((key, text))
     else:
         print(json.dumps(mapping, separators=(",", ":")))
 
@@ -283,9 +284,10 @@ def cmd_check_interval(cfg: RunConfig, args) -> int:
 
 def cmd_probs(cfg: RunConfig, args) -> int:
     stats = detection_probabilities(cfg.channel, cfg.noise)
+    exact = cfg.noise.has_exact_cdf
     _emit({
         "p00": stats.p00, "p01": stats.p01, "p10": stats.p10, "p11": stats.p11,
-        "P": stats.P, "cdf_exact": stats.cdf_exact, "cdf_draws": stats.cdf_draws,
+        "P": stats.P, "cdf_exact": exact, "cdf_draws": None if exact else cfg.noise.cdf_draws,
     }, args.format)
     return EXIT_OK
 
@@ -515,7 +517,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -86,8 +86,6 @@ class NoiseModel(ABC):
     # Which of the paper's two forbidden-interval theorems covers the model.
     theorem = "finite_variance"
     has_exact_cdf = True
-    # Draw count behind cdf() when it is an empirical estimate.
-    cdf_sample_count = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -97,8 +95,8 @@ class NoiseModel(ABC):
             raise ValueError(f"{self.kind} {self._scale_field} must be > 0, got {self.scale}")
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw from the model: a float for ``size=None``, else an array."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` draws from the model, as a 1-D float64 array."""
 
     @abstractmethod
     def cdf(self, x: float) -> float:
@@ -136,9 +134,8 @@ class Gaussian(NoiseModel):
     kind = "gaussian"
     _scale_field = "sigma"
 
-    def sample(self, rng, size=None):
-        n = 1 if size is None else int(np.prod(size))
-        pairs = rng.random((2, (n + 1) // 2))
+    def sample(self, rng, size):
+        pairs = rng.random((2, (size + 1) // 2))
         scratch = np.empty(min(pairs.shape[1], _CHUNK))
         for lo in range(0, pairs.shape[1], _CHUNK):  # in place, _CHUNK pairs at a time
             r, t = pairs[:, lo:lo + _CHUNK]
@@ -149,9 +146,8 @@ class Gaussian(NoiseModel):
             np.multiply(np.divide(r, np.add(np.square(t, out=q), 1.0, out=q), out=q), 2.0, out=q)
             np.subtract(q, r, out=r)
             t *= q
-        out = pairs.reshape(-1)[:n]
-        out += self.mean
-        return float(out[0]) if size is None else out.reshape(size)
+        pairs += self.mean
+        return pairs.reshape(-1)[:size]
 
     def cdf(self, x):
         return 0.5 * (1.0 + math.erf((x - self.mean) / (self.sigma * _SQRT2)))
@@ -167,7 +163,7 @@ class Uniform(NoiseModel):
     kind = "uniform"
     _scale_field = "half_width"
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.uniform(self.mean - self.half_width, self.mean + self.half_width, size)
 
     def cdf(self, x):
@@ -183,7 +179,7 @@ class Laplace(NoiseModel):
     kind = "laplace"
     _scale_field = "diversity"
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.laplace(self.mean, self.diversity, size)
 
     def cdf(self, x):
@@ -231,7 +227,7 @@ class AlphaStable(NoiseModel):
     def _is_cauchy_form(self) -> bool:
         return abs(self.alpha - 1.0) < _ALPHA_ONE_EPS and self.skew == 0.0
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return self._rescale(_standard_stable(self.alpha, self.skew, rng, size))
 
     def _rescale(self, z):
@@ -262,26 +258,21 @@ class AlphaStable(NoiseModel):
     def has_exact_cdf(self):
         return self._is_gaussian_form or self._is_cauchy_form
 
-    @property
-    def cdf_sample_count(self):
-        return None if self.has_exact_cdf else self.cdf_draws
-
 
 def _standard_stable(alpha, skew, rng, size):
     """Standard stable draws (gamma = 1, location 0): all angles, then all
     exponentials, then the transform in place, ``_CHUNK`` draws at a time."""
-    u = np.atleast_1d(rng.uniform(-math.pi / 2, math.pi / 2, size))
-    w = np.atleast_1d(rng.standard_exponential(size))
+    u = rng.uniform(-math.pi / 2, math.pi / 2, size)
+    w = rng.standard_exponential(size)
     # The documented skew convention is the sign flip of the textbook
     # 1-parameterization the CMS transform targets.
     beta = -skew
     transform = _cms_standard_alpha_one if abs(alpha - 1.0) < _ALPHA_ONE_EPS else _cms_standard
-    flat_u, flat_w = u.reshape(-1), w.reshape(-1)
-    scratch = np.empty((2, min(flat_u.size, _CHUNK)))
-    for lo in range(0, flat_u.size, _CHUNK):
-        hi = min(lo + _CHUNK, flat_u.size)
-        transform(alpha, beta, flat_u[lo:hi], flat_w[lo:hi], *scratch[:, : hi - lo])
-    return float(u[0]) if size is None else u
+    scratch = np.empty((2, min(size, _CHUNK)))
+    for lo in range(0, size, _CHUNK):
+        hi = min(lo + _CHUNK, size)
+        transform(alpha, beta, u[lo:hi], w[lo:hi], *scratch[:, : hi - lo])
+    return u
 
 
 def _cms_standard(alpha, beta, u, w, a, c):

@@ -144,7 +144,7 @@ def test_criterion_05_theorem_limits():
     ]
     gaps = {}
     for label, family, grid, limit in checks:
-        rep = theorem_limit_check(PLUS, CHANNEL, family, PERFECT, grid, tolerance=1e-5)
+        rep = theorem_limit_check(PLUS, CHANNEL, family, PERFECT, grid)
         gaps[label] = abs(rep.analytic_f[-1] - limit)
         assert rep.expected_limit == limit
     ok = all(gap <= 1e-5 for gap in gaps.values())

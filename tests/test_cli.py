@@ -4,6 +4,7 @@ Commands run in-process through ``main``; file outputs land in pytest tmp
 directories.  Determinism contracts are byte-level.
 """
 
+import csv
 import json
 import math
 import subprocess
@@ -424,6 +425,22 @@ class TestTheoremKey:
         assert json.loads(out)["theorem"] == theorem
 
 
+@pytest.mark.parametrize("command", ["check-interval", "optimum", "theorem-check"])
+def test_csv_rows_hold_the_json_values(capsys, config_path, command):
+    # Lists and objects hold commas and quotes, so their CSV fields are quoted.
+    path = config_path(base_config())
+    _, out, _ = run_cli(capsys, [command, "--config", path])
+    payload = json.loads(out)
+    _, out, _ = run_cli(capsys, [command, "--config", path, "--format", "csv"])
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    assert [key for key, _ in rows[1:]] == list(payload)
+    for key, text in rows[1:]:
+        value = payload[key]
+        assert (text if isinstance(value, str) else json.loads(text)) == value
+
+
 class TestTopLevelErrors:
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["weights", "--config", str(tmp_path / "absent.json")])
@@ -435,6 +452,13 @@ class TestTopLevelErrors:
         path.write_text("{not json")
         code, _, err = run_cli(capsys, ["weights", "--config", str(path)])
         assert code == EXIT_CONFIG
+
+    def test_config_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, _, err = run_cli(capsys, ["weights", "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert "cannot read" in err
 
     @pytest.mark.parametrize("path, literal, field", [
         (("noise", "mean"), "NaN", "'mean'"),

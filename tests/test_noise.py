@@ -118,7 +118,6 @@ class TestCdf:
     def test_empirical_cdf_is_flagged_and_pure(self):
         model = AlphaStable(1.5, 0.2, 1.0, 0.0, cdf_draws=50_000)
         assert not model.has_exact_cdf
-        assert model.cdf_sample_count == 50_000
         assert model.cdf(0.7) == model.cdf(0.7)
         assert AlphaStable(1.5, 0.2, 1.0, 0.0, cdf_draws=50_000).cdf(0.7) == model.cdf(0.7)
 
@@ -282,24 +281,21 @@ class TestSampler:
                 return Gaussian(0.7, 1.42).sample(rng, size)
             return noise._standard_stable(alpha, 0.5, rng, size)
 
-        whole = {size: draw(size) for size in (7, 8, 9, 15, 16, 17, 29, (4, 9))}
+        whole = {size: draw(size) for size in (7, 8, 9, 15, 16, 17, 29)}
         monkeypatch.setattr(noise, "_CHUNK", 8)
         for size, want in whole.items():
             got = draw(size)
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)
-        scalar = draw(None)
-        assert type(scalar) is float
-        assert scalar == draw(1)[0]
 
     def test_replay_and_shapes(self):
-        model = AlphaStable(1.5, 0.3, 1.0, 0.0)
-        a = model.sample(np.random.default_rng(7), 100)
-        b = model.sample(np.random.default_rng(7), 100)
-        np.testing.assert_array_equal(a, b)
-        scalar = model.sample(np.random.default_rng(7))
-        assert isinstance(scalar, float)
-        assert scalar == model.sample(np.random.default_rng(7))
+        # sample(rng, n) is n float64 draws in a 1-D array, replayed by an equal seed.
+        for model in (Gaussian(0.7, 1.42), Uniform(0.2, 1.5), Laplace(-0.4, 0.8),
+                      AlphaStable(1.5, 0.3, 1.0, 0.0), AlphaStable(1.0, 0.3, 1.0, 0.0)):
+            for n in (1, 7, noise._CHUNK + 1):
+                a = model.sample(np.random.default_rng(7), n)
+                assert a.shape == (n,) and a.dtype == np.float64
+                np.testing.assert_array_equal(a, model.sample(np.random.default_rng(7), n))
 
 
 class TestScaleInterface:
