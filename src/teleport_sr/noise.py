@@ -17,10 +17,13 @@ test suite checks both against independent references.
 A Gaussian variate is one value of a Box-Muller pair, and a stable variate
 the location-scale image of a standard (gamma = 1, location 0)
 Chambers-Mallows-Stuck draw; both come from half-angle tangents, transformed
-in place in chunks.  Stable families without a closed form get an empirical
-CDF: ``cdf_draws`` standard draws are sorted once per (alpha, skew,
-cdf_draws), and each model counts the entries whose image under its own
-location-scale map is <= x.  No per-scale table is built.
+in place in chunks.  A stable draw of n values takes n angles, then n
+exponentials (none for symmetric alpha = 1, whose transform does not use
+them), and holds only its output and one fixed scratch of ``3 * _CHUNK``
+values.  Stable families without a closed form get an empirical CDF:
+``cdf_draws`` standard draws are sorted once per (alpha, skew, cdf_draws),
+8 bytes per draw, and each model counts the entries whose image under its
+own location-scale map is <= x.  No per-scale table is built.
 
 Every model is an immutable value.  Sampling takes an explicit
 ``numpy.random.Generator`` so independent workers can hold independent
@@ -199,6 +202,7 @@ class AlphaStable(NoiseModel):
     (alpha=2 and symmetric alpha=1 have closed forms): one sorted table of
     that many standard draws per (alpha, skew), shared by every scale, whose
     entries each model counts through its own location-scale map.
+    ``sample`` applies the same map in place to its standard draws.
     """
 
     alpha: float
@@ -228,19 +232,27 @@ class AlphaStable(NoiseModel):
         return abs(self.alpha - 1.0) < _ALPHA_ONE_EPS and self.skew == 0.0
 
     def sample(self, rng, size):
-        return self._rescale(_standard_stable(self.alpha, self.skew, rng, size))
+        z = _standard_stable(self.alpha, self.skew, rng, size)
+        return self._rescale(z, out=z)
 
-    def _rescale(self, z):
+    def _rescale(self, z, out=None):
         """Map standard (gamma = 1, location 0) draws ``z`` onto this model.
 
-        Positive affine, so non-decreasing even in floats: ``cdf`` bisects through it.
+        With ``out`` (an array, which may be ``z``) the map runs in place
+        there; else it returns a new value, so ``cdf`` can bisect a
+        read-only table through it.  Positive affine, so non-decreasing
+        even in floats.
         """
         if abs(self.alpha - 1.0) < _ALPHA_ONE_EPS:
             beta = -self.skew
-            out = self.gamma * z + (2 / math.pi) * beta * self.gamma * math.log(self.gamma)
+            multiplier, shift = self.gamma, (2 / math.pi) * beta * self.gamma * math.log(self.gamma)
         else:
-            out = self.gamma ** (1.0 / self.alpha) * z
-        return out + self.location
+            multiplier, shift = self.gamma ** (1.0 / self.alpha), None
+        y = z * multiplier if out is None else np.multiply(z, multiplier, out=out)
+        if shift is not None:
+            y += shift
+        y += self.location
+        return y
 
     def cdf(self, x):
         if self._is_gaussian_form:
@@ -260,18 +272,29 @@ class AlphaStable(NoiseModel):
 
 
 def _standard_stable(alpha, skew, rng, size):
-    """Standard stable draws (gamma = 1, location 0): all angles, then all
-    exponentials, then the transform in place, ``_CHUNK`` draws at a time."""
+    """Standard stable draws (gamma = 1, location 0), in the returned array
+    and one fixed scratch of ``3 * _CHUNK`` values.
+
+    All angles are drawn first, then the exponentials ``_CHUNK`` at a time
+    into scratch row 0, each chunk transformed in place as it is drawn; the
+    generator fills sequentially, so the values are those of one full draw.
+    Symmetric alpha = 1 (Cauchy) draws angles only: its transform uses no
+    exponentials.
+    """
     u = rng.uniform(-math.pi / 2, math.pi / 2, size)
-    w = rng.standard_exponential(size)
     # The documented skew convention is the sign flip of the textbook
     # 1-parameterization the CMS transform targets.
     beta = -skew
-    transform = _cms_standard_alpha_one if abs(alpha - 1.0) < _ALPHA_ONE_EPS else _cms_standard
-    scratch = np.empty((2, min(size, _CHUNK)))
+    alpha_one = abs(alpha - 1.0) < _ALPHA_ONE_EPS
+    transform = _cms_standard_alpha_one if alpha_one else _cms_standard
+    draws_exponentials = beta != 0 or not alpha_one
+    scratch = np.empty((3, min(size, _CHUNK)))
     for lo in range(0, size, _CHUNK):
         hi = min(lo + _CHUNK, size)
-        transform(alpha, beta, u[lo:hi], w[lo:hi], *scratch[:, : hi - lo])
+        w, a, c = scratch[:, : hi - lo]
+        if draws_exponentials:
+            rng.standard_exponential(out=w)
+        transform(alpha, beta, u[lo:hi], w, a, c)
     return u
 
 
@@ -302,7 +325,8 @@ def _cms_standard(alpha, beta, u, w, a, c):
 
 
 def _cms_standard_alpha_one(alpha, beta, u, w, b, c):
-    """Alpha=1 branch of ``_cms_standard`` (tan u for beta=0); cos u is 1/sqrt(1 + tan^2 u)."""
+    """Alpha=1 branch of ``_cms_standard`` (tan u for beta=0, which leaves ``w``
+    unread); cos u is 1/sqrt(1 + tan^2 u)."""
     np.add(np.multiply(u, beta, out=b), math.pi / 2, out=b)
     np.tan(u, out=u)
     if beta:  # else the log term is 0; skipping it keeps a w = 0 draw from giving NaN

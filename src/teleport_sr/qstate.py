@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -136,12 +137,14 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
 
+@lru_cache(maxsize=8)
 def pauli_weights(state: QubitState) -> PauliWeights:
     """The squared overlaps of ``state`` with its X, Z, and XZ rotations.
 
     These three numbers, together with the channel scalar P, fully determine
     the teleportation fidelity; normalization of the state (enforced by the
-    type) makes them sum to one.
+    type) makes them sum to one.  Cached per state (both types are frozen
+    values), so a sweep's cells do not recompute them.
     """
     v = state.vector
     qx = abs(np.vdot(v, _PAULI_X @ v)) ** 2

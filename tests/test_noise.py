@@ -10,6 +10,7 @@ and the CDF bounds over all four families.
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,46 @@ class TestSampler:
             got = draw(size)
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("size,draw", [
+        (10**6, lambda rng, n: noise._standard_stable(1.5, 0.5, rng, n)),
+        (200_000, lambda rng, n: AlphaStable(1.5, 0.5, 0.7, 0.3).sample(rng, n)),
+    ], ids=["standard", "sample"])
+    def test_stable_draws_hold_only_the_output_and_a_fixed_scratch(self, size, draw):
+        # 8 bytes per draw (the returned array) plus three rows of _CHUNK
+        # values: the exponentials and the rescale take no full-size array.
+        tracemalloc.start()
+        try:
+            out = draw(np.random.default_rng(110), size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.size == size
+        assert peak <= 8 * size + 3 * 8 * noise._CHUNK + 64 * 1024
+
+    @pytest.mark.parametrize("n", [7, noise._CHUNK + 1])
+    @pytest.mark.parametrize("skew", [0.0, 0.3])
+    def test_alpha_one_draws_exponentials_only_when_skewed(self, n, skew):
+        # Symmetric alpha = 1 (Cauchy) multiplies its exponentials by zero,
+        # so it draws the angles only; skewed, the angles then n exponentials.
+        rng = np.random.default_rng(111)
+        noise._standard_stable(1.0, skew, rng, n)
+        want = np.random.default_rng(111)
+        want.uniform(-math.pi / 2, math.pi / 2, n)
+        if skew:
+            want.standard_exponential(n)
+        assert rng.random() == want.random()
+
+    @pytest.mark.parametrize("alpha,skew,gamma,location",
+                             [(1.5, 0.5, 0.7, 0.3), (1.0, 0.3, 0.7, -0.2)])
+    def test_sample_is_the_rescaled_standard_draw(self, alpha, skew, gamma, location):
+        # sample maps its draws in place; the bits are those of the
+        # location-scale map applied to a fresh standard draw.
+        model = AlphaStable(alpha, skew, gamma, location)
+        n = noise._CHUNK + 1
+        standard = noise._standard_stable(alpha, skew, np.random.default_rng(112), n)
+        np.testing.assert_array_equal(model.sample(np.random.default_rng(112), n),
+                                      model._rescale(standard))
 
     def test_replay_and_shapes(self):
         # sample(rng, n) is n float64 draws in a 1-D array, replayed by an equal seed.
