@@ -79,7 +79,7 @@ class EntanglementResource:
     werner_f: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "werner_f", float(finite_real(self.werner_f, "resource.werner_f")))
+        object.__setattr__(self, "werner_f", finite_real(self.werner_f, "resource.werner_f"))
         if not 0.0 <= self.werner_f <= 1.0:
             raise ValueError(f"werner_f must be in [0, 1], got {self.werner_f}")
 
@@ -164,7 +164,7 @@ def check_scales(values, where: str, descending: bool = False) -> tuple[float, .
     Returns the grid as a tuple of floats.  A ``descending`` grid must fall
     toward 0.  Errors name the grid as ``where``.
     """
-    scales = tuple(float(finite_real(v, where)) for v in values)
+    scales = tuple(finite_real(v, where) for v in values)
     if not scales:
         raise ValueError(f"{where} must be a non-empty grid of positive scales")
     if not all(s > 0 for s in scales):
@@ -251,9 +251,10 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
     """Analytic and Monte Carlo fidelity across a grid of noise scales.
 
     ``noise_family`` supplies everything but the scale, which is replaced per
-    grid point.  Each of the ``runs`` independent estimates at a scale uses
-    ``trials_per_run`` trials on its own derived stream; output is identical
-    for any ``workers`` value.
+    grid point.  The analytic column is evaluated on the calling thread and
+    only the Monte Carlo runs on the ``workers`` threads.  Each of the
+    ``runs`` independent estimates at a scale uses ``trials_per_run`` trials
+    on its own derived stream; output is identical for any ``workers`` value.
     """
     scales = check_scales(scales, "scales")
     integer_at_least(runs, "runs", 1)
@@ -263,22 +264,15 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
     integer_at_least(master_seed, "master_seed", 0)
 
     weights = pauli_weights(state)
+    analytic = [analytic_at(weights, config, noise_family.with_scale(s), resource) for s in scales]
 
-    def one_scale(i: int):
+    def estimates_at(i: int) -> list[float]:
         model = noise_family.with_scale(scales[i])
-        analytic = analytic_at(weights, config, model, resource)
-        estimates = np.array([
-            estimate_fidelity(state, config, model, resource, trials_per_run,
-                              _cell_rng(master_seed, i, j))
-            for j in range(runs)
-        ])
-        return analytic, estimates
+        return [estimate_fidelity(state, config, model, resource, trials_per_run,
+                                  _cell_rng(master_seed, i, j)) for j in range(runs)]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_scale = list(pool.map(one_scale, range(len(scales))))
-
-    analytic = [a for a, _ in per_scale]
-    estimates = np.stack([e for _, e in per_scale])
+        estimates = np.array(list(pool.map(estimates_at, range(len(scales)))))
     mc_mean = estimates.mean(axis=1)
 
     metadata = {
@@ -369,7 +363,8 @@ class TheoremLimitReport:
 
     With the noise center outside the forbidden interval the fidelity must
     fall to its floor 1/2 as the scale vanishes (so noise can only help);
-    with the center inside it must climb to 1 (so noise only hurts).
+    with the center inside it must rise to 1/2 + w/2 for Werner weight w,
+    1 for a perfect pair (so noise only hurts).
     """
 
     scales: tuple[float, ...]
@@ -398,7 +393,8 @@ def theorem_limit_check(state: QubitState, config: ChannelConfig, noise_family: 
     center = noise_family.center
     inside = interval.contains_open(center)
     values = [analytic_at(weights, config, noise_family.with_scale(s), resource) for s in scales]
-    expected = 1.0 if inside else 0.5
+    # P -> 1 inside; written out, as float Pauli weights may sum to 1 - 4.4e-16.
+    expected = 0.5 + 0.5 * resource.werner_f if inside else 0.5
     return TheoremLimitReport(
         scales=scales,
         analytic_f=tuple(values),

@@ -48,8 +48,7 @@ class ChannelConfig:
 
     def __post_init__(self):
         for name in ("amplitude", "threshold"):
-            value = float(finite_real(getattr(self, name), f"channel.{name}"))
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, finite_real(getattr(self, name), f"channel.{name}"))
         if not isinstance(self.allow_suprathreshold, bool):
             raise ValueError(f"channel.allow_suprathreshold must be a boolean, "
                              f"got {self.allow_suprathreshold!r}")

@@ -29,7 +29,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -373,10 +372,10 @@ def cmd_theorem_check(cfg: RunConfig, args) -> int:
 # --- output plumbing -------------------------------------------------------
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    tmp = f"{path}.{os.getpid()}.tmp"  # made by open(), so its mode follows the umask
+    handle = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -60,8 +60,8 @@ _ALPHA_ONE_EPS = 1e-8
 # (model, draw count).
 _EMPIRICAL_CDF_SEED = 851530
 
-# Held while a standard table is looked up or built, so sweep workers asking
-# for the same shape at once build it once.
+# Held while a standard table is looked up or built, so a library caller's
+# threads asking for one shape at once build it once (sweep workers only sample).
 _STANDARD_TABLE_LOCK = threading.Lock()
 
 _SQRT2 = math.sqrt(2.0)
@@ -78,8 +78,9 @@ class NoiseModel(ABC):
     Each family is a frozen dataclass that names the field holding its
     center (``_center_field``: the mean, or the stable location) and the
     field holding the scale swept in noise-level studies (``_scale_field``).
-    Construction checks that every parameter is a finite number and that the
-    scale is positive.
+    Construction stores every field declared ``float`` as :func:`finite_real`
+    returns it (so ``0`` and ``0.0`` build equal, equally printed models)
+    and checks that the scale is positive.
     """
 
     kind: str
@@ -92,8 +93,9 @@ class NoiseModel(ABC):
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name != "cdf_draws":
-                finite_real(getattr(self, f.name), f"noise parameter {f.name!r}")
+            if f.type == "float":  # a string: this module postpones annotations
+                value = finite_real(getattr(self, f.name), f"noise parameter {f.name!r}")
+                object.__setattr__(self, f.name, value)
         if not self.scale > 0:
             raise ValueError(f"{self.kind} {self._scale_field} must be > 0, got {self.scale}")
 
@@ -361,16 +363,17 @@ def _empirical_cdf_table(model: AlphaStable) -> np.ndarray:
         return _standard_table(model.alpha, model.skew, model.cdf_draws)
 
 
-def finite_real(value, where: str):
-    """``value`` unchanged if it is a finite int or float; ValueError naming ``where`` else.
+def finite_real(value, where: str) -> float:
+    """``float(value)`` if ``value`` is a finite int or float; ValueError naming ``where`` else.
 
     Booleans, strings and NaN are rejected, and so is anything a float cannot
-    hold: JSON parses ``Infinity`` and ``1e999`` as infinite floats.
+    hold: JSON parses ``Infinity`` and ``1e999`` as infinite floats.  Value
+    types store what this returns, so ``1`` and ``1.0`` print and hash alike.
     """
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not -sys.float_info.max <= value <= sys.float_info.max):
         raise ValueError(f"{where} must be a number (finite, not a boolean), got {value!r}")
-    return value
+    return float(value)
 
 
 def integer_at_least(value, where: str, minimum: int) -> int:

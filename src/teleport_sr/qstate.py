@@ -87,8 +87,8 @@ class QubitState:
 
 
 STATE_PRESETS = {
-    "zero": QubitState(1, 0),
-    "one": QubitState(0, 1),
+    "zero": QubitState(1.0, 0.0),
+    "one": QubitState(0.0, 1.0),
     "plus": QubitState(_INV_SQRT2, _INV_SQRT2),
     "i-plus": QubitState(_INV_SQRT2, _INV_SQRT2 * 1j),
 }

@@ -12,7 +12,7 @@ families with a closed-form CDF.
 import csv
 import io
 import math
-import sys
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -362,19 +362,26 @@ class TestSweep:
     def test_stable_sweep_builds_one_standard_table(self, monkeypatch):
         # A fresh cache counts this sweep's builds; no other test looks up
         # this draw count at the sweep's scales, so no model lookup is cached
-        # yet.  A short switch interval makes the two workers race for the
-        # first table.
+        # yet.
         monkeypatch.setattr(noise, "_standard_table",
                             lru_cache(maxsize=4)(noise._standard_table.__wrapped__))
         family = AlphaStable(1.5, 0.5, cdf_draws=200_003)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            two = self.small(noise_family=family, workers=2)
-        finally:
-            sys.setswitchinterval(interval)
+        two = self.small(noise_family=family, workers=2)
         assert noise._standard_table.cache_info().misses == 1
         assert two.to_csv() == self.small(noise_family=family).to_csv()
+
+    def test_every_cdf_call_runs_on_the_calling_thread(self, monkeypatch):
+        threads = []
+        cdf = AlphaStable.cdf
+
+        def spy(model, x):
+            threads.append(threading.get_ident())
+            return cdf(model, x)
+
+        monkeypatch.setattr(AlphaStable, "cdf", spy)
+        self.small(noise_family=AlphaStable(1.5, 0.5, cdf_draws=1000), workers=2)
+        assert len(threads) == 2 * 12
+        assert set(threads) == {threading.get_ident()}
 
     def test_seed_changes_mc_but_not_analytic(self):
         a = self.small()
@@ -614,17 +621,23 @@ def fidelity_on_log_grid(config, model):
 
 
 class TestProperties:
-    @given(case=theorem_cases(inside=True))
-    def test_noise_only_hurts_with_the_center_inside(self, case):
+    # F - 1/2 scales with the Werner weight, so the shape over the grid is
+    # checked for a perfect pair and the limit for any weight.
+    @given(case=theorem_cases(inside=True), werner_f=st.floats(0.0, 1.0))
+    def test_noise_only_hurts_with_the_center_inside(self, case, werner_f):
         config, model = case
-        assert theorem_limit_check(PLUS, config, model).within_tolerance
+        report = theorem_limit_check(PLUS, config, model, EntanglementResource(werner_f))
+        assert report.expected_limit == 0.5 + 0.5 * werner_f
+        assert report.within_tolerance
         values = fidelity_on_log_grid(config, model)
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
-    @given(case=theorem_cases(inside=False))
-    def test_noise_helps_with_the_center_outside(self, case):
+    @given(case=theorem_cases(inside=False), werner_f=st.floats(0.0, 1.0))
+    def test_noise_helps_with_the_center_outside(self, case, werner_f):
         config, model = case
-        assert theorem_limit_check(PLUS, config, model).within_tolerance
+        report = theorem_limit_check(PLUS, config, model, EntanglementResource(werner_f))
+        assert report.expected_limit == 0.5
+        assert report.within_tolerance
         values = fidelity_on_log_grid(config, model)
         assert max(values) > max(values[0], values[-1])
 

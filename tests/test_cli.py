@@ -7,6 +7,7 @@ directories.  Determinism contracts are byte-level.
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -20,6 +21,7 @@ from teleport_sr.cli import (
     EXIT_MONOTONE,
     EXIT_OK,
     ConfigError,
+    config_hash,
     config_to_json,
     main,
     parse_run_config,
@@ -119,7 +121,25 @@ class TestParseRunConfig:
     @given(raw=CONFIGS)
     def test_config_to_json_round_trips_exactly(self, raw):
         cfg = parse_run_config(raw)
-        assert parse_run_config(json.loads(json.dumps(config_to_json(cfg)))) == cfg
+        again = parse_run_config(json.loads(json.dumps(config_to_json(cfg))))
+        assert again == cfg
+        assert config_hash(again) == config_hash(cfg)
+
+    @pytest.mark.parametrize("noise", [
+        {"kind": "gaussian", "mean": 0, "sigma": 1},
+        {"kind": "uniform", "mean": -1, "half_width": 2},
+        {"kind": "laplace", "mean": 3, "diversity": 1},
+        {"kind": "alpha_stable", "alpha": 2, "skew": 0, "gamma": 1, "location": 0},
+    ], ids=["gaussian", "uniform", "laplace", "stable"])
+    def test_int_and_float_spellings_hash_alike(self, noise):
+        raw = base_config()
+        raw["noise"] = noise
+        as_ints = parse_run_config(raw)
+        raw["noise"] = {k: float(v) if isinstance(v, int) else v for k, v in noise.items()}
+        as_floats = parse_run_config(raw)
+        assert as_ints == as_floats
+        assert config_to_json(as_ints) == config_to_json(as_floats)
+        assert config_hash(as_ints) == config_hash(as_floats)
 
     def test_amplitude_pairs(self):
         raw = base_config()
@@ -357,6 +377,35 @@ class TestSweepCommand:
         assert code == EXIT_CONFIG
         assert "TELEPORT_SR_THREADS" in err
 
+    def test_zero_threads_is_a_config_error(self, capsys, config_path, monkeypatch, tmp_path):
+        monkeypatch.setenv("TELEPORT_SR_THREADS", "0")
+        code, _, err = run_cli(capsys, ["sweep", "--config", config_path(base_config()),
+                                        "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "TELEPORT_SR_THREADS must be >= 1" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_outputs_follow_the_umask(self, capsys, config_path, tmp_path):
+        out_dir = tmp_path / "out"
+        run_cli(capsys, ["sweep", "--config", config_path(base_config()), "--out", str(out_dir)])
+        with open(out_dir / "probe", "w"):
+            pass
+        mode = os.stat(out_dir / "probe").st_mode
+        for name in ("sweep.csv", "sweep.json", "sweep.svg"):
+            assert os.stat(out_dir / name).st_mode == mode
+
+    def test_failed_rename_leaves_no_temp_file(self, capsys, config_path, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, ["sweep", "--config", config_path(base_config()),
+                                        "--out", str(out_dir)])
+        assert code == EXIT_IO
+        assert "rename refused" in err
+        assert os.listdir(out_dir) == []
+
 
 class TestOptimumCommand:
     def test_gaussian(self, capsys, config_path):
@@ -402,6 +451,16 @@ class TestTheoremCheckCommand:
         assert payload["expected_limit"] == 1.0
         assert payload["center_inside"] is True
         assert len(payload["rows"]) == 2
+
+    def test_inside_limit_follows_the_werner_weight(self, capsys, config_path):
+        raw = base_config()
+        raw["noise"] = {"kind": "gaussian", "mean": 1.6, "sigma": 1.0}
+        raw["resource"]["werner_f"] = 0.8
+        _, out, _ = run_cli(capsys, ["theorem-check", "--config", config_path(raw)])
+        payload = json.loads(out)
+        assert payload["center_inside"] is True
+        assert payload["expected_limit"] == 0.9
+        assert payload["within_tolerance"] is True
 
 
 class TestTheoremKey:
@@ -477,11 +536,17 @@ class TestTopLevelErrors:
         (("noise", "kind"), '["gaussian"]', "unknown noise kind ['gaussian']"),
         (("channel", "allow_suprathreshold"), '"no"', "channel.allow_suprathreshold"),
         (("sweep", "count"), "5", "not both"),
+        (("state",), '{"alpha": 1, "beta": 0, "normalize": 1}', "state.normalize"),
+        (("sweep", "scales"), "0.5", "sweep.scales"),
+        (("sweep",), '{"bounds": [0.5, 1.0, 2.0]}', "sweep.bounds"),
+        (("sweep", "window"), "4", "sweep.window"),
+        (("out_dir",), "7", "out_dir"),
     ], ids=["nan-mean", "inf-threshold", "1e999-threshold", "huge-int-threshold",
             "bool-threshold", "string-amplitude", "string-werner-f", "nan-alpha",
             "nan-scale", "missing-stable-alpha", "non-object-channel", "unknown-channel-key",
             "unknown-noise-kind", "list-noise-kind", "string-allow-suprathreshold",
-            "count-next-to-scales"])
+            "count-next-to-scales", "int-normalize", "number-scales", "three-bounds",
+            "even-window", "number-out-dir"])
     def test_non_finite_or_mistyped_number_exits_2(self, capsys, tmp_path, path, literal, field):
         raw = base_config()
         holder = raw

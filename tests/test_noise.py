@@ -10,7 +10,10 @@ and the CDF bounds over all four families.
 import cmath
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -121,6 +124,32 @@ class TestCdf:
         assert not model.has_exact_cdf
         assert model.cdf(0.7) == model.cdf(0.7)
         assert AlphaStable(1.5, 0.2, 1.0, 0.0, cdf_draws=50_000).cdf(0.7) == model.cdf(0.7)
+
+    def test_racing_threads_build_one_standard_table(self, monkeypatch):
+        # A fresh cache counts the builds; no other test looks up this draw
+        # count.  A short switch interval makes the two threads race for the
+        # table, which the table lock lets only one of them build.
+        monkeypatch.setattr(noise, "_standard_table",
+                            lru_cache(maxsize=4)(noise._standard_table.__wrapped__))
+        models = [AlphaStable(1.5, 0.5, gamma, cdf_draws=200_011) for gamma in (0.7, 1.3)]
+        values = [None, None]
+
+        def evaluate(i):
+            values[i] = models[i].cdf(0.3)
+
+        threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert noise._standard_table.cache_info().misses == 1
+        assert values == [model.cdf(0.3) for model in models]
 
     def test_near_one_alpha_uses_cauchy_closed_form(self):
         assert AlphaStable(1.0 + 1e-9, 0.0, 1.0, 0.0).has_exact_cdf
