@@ -338,8 +338,8 @@ def find_optimal_noise(state: QubitState, config: ChannelConfig, noise_family: N
     flat stretch; golden section between the best scale's neighbours refines
     it to 1e-6 relative.  Fidelity is monotone in the detection-probability
     difference, so this equivalently maximizes that scalar.  CDF evaluations
-    are exact for closed-form models and deterministic empirical estimates
-    otherwise (the model's ``cdf_draws`` is the sampling budget).  Raises
+    are exact for closed-form models and deterministic lattice estimates
+    otherwise (the model's ``cdf_draws`` counts the lattice points).  Raises
     :class:`MonotoneRegimeError` when the noise center falls inside the
     forbidden interval, where no interior optimum exists.
     """

@@ -153,7 +153,7 @@ def transmit_bits(bits: np.ndarray, config: ChannelConfig, noise: NoiseModel,
 
 
 def detection_probabilities(config: ChannelConfig, noise: NoiseModel) -> DetectionStats:
-    """Exact (or empirical-CDF) conditional detection probabilities.
+    """Exact (or lattice-table CDF) conditional detection probabilities.
 
     p00 = cdf(threshold + A) and p01 = cdf(threshold - A): a transmitted 0
     stays below threshold unless the noise exceeds threshold + A, and a

@@ -166,14 +166,62 @@ class TestCdf:
             "alpha1-gamma1e-4"])
     def test_table_is_the_sorted_sample_of_the_model(self, model):
         # cdf counts the shared standard table through the model's map; it
-        # must equal the empirical CDF of the model's own draws from the table
-        # seed, bit for bit, at every draw and on both sides of it.
-        rng = np.random.default_rng(np.random.SeedSequence(noise._EMPIRICAL_CDF_SEED))
-        expected = np.sort(model.sample(rng, model.cdf_draws))
+        # must equal the empirical CDF of the model's images of the lattice
+        # points, bit for bit, at every point and on both sides of it.
+        n = model.cdf_draws
+        k = np.arange(n)
+        step = round(n / ((1 + math.sqrt(5)) / 2))
+        u = math.pi * ((k + 0.5) / n - 0.5)
+        w = -np.log1p(-((k * step % n + 0.5) / n))
+        transform = noise._cms_standard_alpha_one if model.alpha == 1.0 else noise._cms_standard
+        transform(model.alpha, -model.skew, u, w, np.empty(n), np.empty(n))
+        expected = np.sort(model._rescale(u))
         points = np.concatenate([expected, np.nextafter(expected, -np.inf),
                                  np.nextafter(expected, np.inf)])
         want = np.searchsorted(expected, points, side="right") / expected.size
         assert [model.cdf(x) for x in points] == want.tolist()
+
+    @pytest.mark.parametrize("alpha,skew", [
+        (0.5, 0.0), (0.8, 0.0), (0.8, -0.6), (1.2, 0.0), (1.2, 0.7), (1.5, 0.0), (1.5, 0.5),
+        (1.8, -0.3), (1.95, 1.0),
+    ])
+    def test_default_table_matches_levy_stable(self, alpha, skew):
+        # scipy's S1 parameterization with beta = -skew and scale 1 is the
+        # documented standard shape; it is accurate to ~1e-9 for |alpha - 1|
+        # >= 0.05.  The default lattice is within 1.6e-4 on these families.
+        model = AlphaStable(alpha, skew)
+        xs = np.linspace(-5.0, 8.0, 53)
+        reference = sps.levy_stable.cdf(xs, alpha, -skew)
+        ours = np.array([model.cdf(x) for x in xs])
+        assert np.max(np.abs(ours - reference)) <= 2.5e-4
+
+    @pytest.mark.parametrize("skew", [0.3, -0.5, 0.7])
+    def test_default_skewed_alpha_one_table_matches_a_large_sample(self, skew):
+        # scipy is off by up to 1.6e-3 near alpha = 1 with skew != 0, so the
+        # reference is the empirical CDF of 4 * 10^6 sampler draws, to 5 of
+        # its own standard errors.
+        draws = 4_000_000
+        reference = np.sort(noise._standard_stable(1.0, skew, np.random.default_rng(113), draws))
+        xs = np.linspace(-5.0, 8.0, 53)
+        want = np.searchsorted(reference, xs, side="right") / draws
+        sigma = np.sqrt(want * (1.0 - want) / draws)
+        model = AlphaStable(1.0, skew)
+        ours = np.array([model.cdf(x) for x in xs])
+        assert np.all(np.abs(ours - want) <= 5.0 * sigma)
+
+    def test_default_table_holds_only_its_output_and_a_fixed_scratch(self):
+        # 2^17 entries of 8 bytes plus three rows of _CHUNK values, like the
+        # sampler; the lattice indices live in a scratch row.
+        size = AlphaStable(1.5, 0.5).cdf_draws
+        assert size == 1 << 17
+        tracemalloc.start()
+        try:
+            table = noise._standard_table.__wrapped__(1.5, 0.5, size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.size == size
+        assert peak <= 8 * size + 3 * 8 * noise._CHUNK + 64 * 1024
 
 
 class TestSampler:
@@ -459,6 +507,14 @@ class TestProperties:
     @given(model=MODELS)
     def test_json_round_trip(self, model):
         assert config_round_trip(model) == model
+
+    @given(alpha=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.2, 2.0)),
+           skew=st.floats(-1.0, 1.0), size=st.integers(1, 5000))
+    def test_standard_table_is_sorted_and_finite(self, alpha, skew, size):
+        table = noise._standard_table.__wrapped__(alpha, skew, size)
+        assert table.shape == (size,)
+        assert np.isfinite(table).all()
+        assert np.all(table[1:] >= table[:-1])
 
     @given(model=MODELS, xs=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=20))
     def test_cdf_is_monotone_within_unit_interval(self, model, xs):
