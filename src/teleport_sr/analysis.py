@@ -31,6 +31,7 @@ import numpy as np
 
 from .channel import (
     ChannelConfig,
+    Interval,
     detection_probabilities,
     forbidden_interval,
     sr_predicted,
@@ -336,11 +337,11 @@ def find_optimal_noise(state: QubitState, config: ChannelConfig, noise_family: N
 
     A scan of 16 evenly spaced scales finds a maximum on a bound or past a
     flat stretch; golden section between the best scale's neighbours refines
-    it to 1e-6 relative.  Fidelity is monotone in the detection-probability
-    difference, so this equivalently maximizes that scalar.  CDF evaluations
-    are exact for closed-form models and deterministic lattice estimates
-    otherwise (the model's ``cdf_draws`` counts the lattice points).  Raises
-    :class:`MonotoneRegimeError` when the noise center falls inside the
+    it to 1e-6 relative for an exact CDF.  A table CDF (``cdf_draws`` lattice
+    points) makes the fidelity a step function with a flat peak: from 2^17 to
+    2^19 points the optimum fidelity moved <= 4.2e-5, the scale up to 2.4%.
+    Fidelity is monotone in P, so this equivalently maximizes that scalar.
+    Raises :class:`MonotoneRegimeError` when the noise center falls inside the
     forbidden interval, where no interior optimum exists.
     """
     if not sr_predicted(config, noise_family):
@@ -370,7 +371,7 @@ class TheoremLimitReport:
     scales: tuple[float, ...]
     analytic_f: tuple[float, ...]
     center: float
-    interval: tuple[float, float]
+    interval: Interval
     center_inside: bool
     expected_limit: float
     tolerance: float
@@ -399,7 +400,7 @@ def theorem_limit_check(state: QubitState, config: ChannelConfig, noise_family: 
         scales=scales,
         analytic_f=tuple(values),
         center=center,
-        interval=(interval.lo, interval.hi),
+        interval=interval,
         center_inside=inside,
         expected_limit=expected,
         tolerance=_LIMIT_TOL,

@@ -77,10 +77,6 @@ _NOISE_KINDS = {cls.kind: cls for cls in (Gaussian, Uniform, Laplace, AlphaStabl
 _DEFAULT_SMALL_SCALES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
-class ConfigError(ValueError):
-    """A config file violated an invariant; the message names it."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     state: QubitState
@@ -100,13 +96,13 @@ class RunConfig:
 def _section(spec, where: str, keys, required=()) -> dict:
     """One rule for every config section: an object, no unknown keys, ``required`` present."""
     if not isinstance(spec, dict):
-        raise ConfigError(f"{where} must be an object, got {type(spec).__name__}")
+        raise ValueError(f"{where} must be an object, got {type(spec).__name__}")
     unknown = set(spec) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
     for key in required:
         if key not in spec:
-            raise ConfigError(f"{where} missing key {key!r}")
+            raise ValueError(f"{where} missing key {key!r}")
     return spec
 
 
@@ -132,7 +128,7 @@ def _parse_state(spec) -> QubitState:
     beta = _parse_amplitude(spec["beta"], "state.beta")
     normalize = spec.get("normalize", False)
     if not isinstance(normalize, bool):
-        raise ConfigError(f"state.normalize must be a boolean, got {normalize!r}")
+        raise ValueError(f"state.normalize must be a boolean, got {normalize!r}")
     return QubitState.normalized(alpha, beta) if normalize else QubitState(alpha, beta)
 
 
@@ -140,25 +136,25 @@ def _parse_noise(spec) -> NoiseModel:
     # Only the object check here: the allowed keys depend on the kind.
     kind = _section(spec, "noise", spec).get("kind")
     if not isinstance(kind, str) or kind not in _NOISE_KINDS:
-        raise ConfigError(f"unknown noise kind {kind!r}; expected one of {sorted(_NOISE_KINDS)}")
+        raise ValueError(f"unknown noise kind {kind!r}; expected one of {sorted(_NOISE_KINDS)}")
     return _build(_NOISE_KINDS[kind], spec, f"{kind} noise", extra=("kind",))
 
 
 def _scale_list(values, where: str, descending: bool = False) -> tuple[float, ...]:
     if not isinstance(values, list):
-        raise ConfigError(f"{where} must be a list of numbers")
+        raise ValueError(f"{where} must be a list of numbers")
     return check_scales(values, where, descending)
 
 
 def _parse_sweep_section(spec):
     _section(spec, "sweep", _SWEEP_KEYS)
     if "scales" in spec and ("bounds" in spec or "count" in spec):
-        raise ConfigError("sweep accepts either scales or bounds+count, not both")
+        raise ValueError("sweep accepts either scales or bounds+count, not both")
     bounds = (0.01, 3.0)
     if "bounds" in spec:
         bounds = _scale_list(spec["bounds"], "sweep.bounds")
         if len(bounds) != 2:
-            raise ConfigError("sweep.bounds must be [lo, hi]")
+            raise ValueError("sweep.bounds must be [lo, hi]")
     if "scales" in spec:
         scales = _scale_list(spec["scales"], "sweep.scales")
         bounds = (scales[0], scales[-1])
@@ -171,7 +167,7 @@ def _parse_sweep_section(spec):
     trials = integer_at_least(spec.get("trials", 10_000), "sweep.trials", 1)
     window = integer_at_least(spec.get("window", 5), "sweep.window", 1)
     if window % 2 == 0:
-        raise ConfigError(f"sweep.window must be odd, got {window}")
+        raise ValueError(f"sweep.window must be odd, got {window}")
     small_scales = _DEFAULT_SMALL_SCALES
     if "small_scales" in spec:
         small_scales = _scale_list(spec["small_scales"], "sweep.small_scales", descending=True)
@@ -179,23 +175,20 @@ def _parse_sweep_section(spec):
 
 
 def parse_run_config(raw, seed_override: int | None = None) -> RunConfig:
-    """Validate a raw config mapping; unknown keys are rejected outright."""
+    """Validate a raw config mapping: any violation, unknown keys included, is a ValueError."""
     _section(raw, "config", _TOP_KEYS, ("state", "channel", "noise"))
-    try:
-        state = _parse_state(raw["state"])
-        chan = _build(ChannelConfig, raw["channel"], "channel")
-        model = _parse_noise(raw["noise"])
-        # A null optional section means its defaults, like an empty one.
-        optional = {key: {} if raw.get(key) is None else raw[key] for key in ("resource", "sweep")}
-        resource = _build(EntanglementResource, optional["resource"], "resource")
-        scales, bounds, runs, trials, window, small_scales = _parse_sweep_section(optional["sweep"])
-        seed = raw.get("seed", 0) if seed_override is None else seed_override
-        integer_at_least(seed, "seed", 0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    state = _parse_state(raw["state"])
+    chan = _build(ChannelConfig, raw["channel"], "channel")
+    model = _parse_noise(raw["noise"])
+    # A null optional section means its defaults, like an empty one.
+    optional = {key: {} if raw.get(key) is None else raw[key] for key in ("resource", "sweep")}
+    resource = _build(EntanglementResource, optional["resource"], "resource")
+    scales, bounds, runs, trials, window, small_scales = _parse_sweep_section(optional["sweep"])
+    seed = raw.get("seed", 0) if seed_override is None else seed_override
+    integer_at_least(seed, "seed", 0)
     out_dir = raw.get("out_dir", ".")
     if not isinstance(out_dir, str):
-        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+        raise ValueError(f"out_dir must be a string, got {out_dir!r}")
     return RunConfig(
         state=state, channel=chan, noise=model, resource=resource,
         scales=scales, bounds=bounds, runs=runs, trials=trials, window=window,
@@ -239,16 +232,11 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def _worker_count() -> int:
-    raw = os.environ.get(_ENV_THREADS)
-    if raw is None:
-        return 1
+    raw = os.environ.get(_ENV_THREADS, "1")
     try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{_ENV_THREADS} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"{_ENV_THREADS} must be >= 1, got {value}")
-    return value
+        return integer_at_least(int(raw), _ENV_THREADS, 1)
+    except ValueError:  # one message, quoting the text as set, whichever check failed
+        raise ValueError(f"{_ENV_THREADS} must be an integer >= 1, got {raw!r}") from None
 
 
 def _emit(mapping: dict, fmt: str) -> None:
@@ -522,7 +510,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_run_config(raw, seed_override=args.seed)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -118,12 +118,12 @@ class PauliWeights:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A validated 2x2 density matrix (Hermitian, unit trace, PSD)."""
+    """A validated 2x2 density matrix (Hermitian, unit trace, PSD), held as a read-only copy."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {m.shape}")
         if not np.allclose(m, m.conj().T, rtol=0, atol=_ATOL):
@@ -209,15 +209,11 @@ def bob_mixed_state(state: QubitState, stats: DetectionStats) -> DensityMatrix:
 def fidelity_against(state: QubitState, rho) -> float:
     """``<psi|rho|psi>`` as a real number clamped to [0, 1].
 
-    Accepts a :class:`DensityMatrix` or a raw 2x2 array; raw arrays are
-    rejected if not Hermitian.
+    Accepts a :class:`DensityMatrix`, or a raw 2x2 array that must pass the
+    same checks (Hermitian, unit trace, PSD; ValueError else).
     """
-    if isinstance(rho, DensityMatrix):
-        m = rho.matrix
-    else:
-        m = np.asarray(rho, dtype=complex)
-        if m.shape != (2, 2) or not np.allclose(m, m.conj().T, rtol=0, atol=_ATOL):
-            raise ValueError("fidelity requires a Hermitian 2x2 matrix")
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(rho)
     v = state.vector
-    value = np.vdot(v, m @ v)
+    value = np.vdot(v, rho.matrix @ v)
     return min(max(float(value.real), 0.0), 1.0)

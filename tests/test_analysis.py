@@ -35,6 +35,7 @@ from teleport_sr.analysis import (
 from teleport_sr.channel import (
     ChannelConfig,
     DetectionStats,
+    Interval,
     detect,
     detection_probabilities,
     encode,
@@ -548,6 +549,11 @@ class TestTheoremLimit:
         assert report.center == 0.7
         assert report.interval == pytest.approx((0.5, 2.7))
         assert len(report.scales) == len(report.analytic_f)
+
+    def test_report_interval_is_the_forbidden_interval(self):
+        report = theorem_limit_check(PLUS, REF_CHANNEL, Gaussian(0.7, 1.0))
+        assert isinstance(report.interval, Interval)
+        assert report.interval == forbidden_interval(REF_CHANNEL)
 
 
 class TestOwnNumbers:

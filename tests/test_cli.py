@@ -15,12 +15,12 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, strategies as st
 
+import teleport_sr
 from teleport_sr.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_MONOTONE,
     EXIT_OK,
-    ConfigError,
     config_hash,
     config_to_json,
     main,
@@ -154,7 +154,7 @@ class TestParseRunConfig:
         cfg = parse_run_config(raw)
         assert abs(cfg.state.alpha - 0.6) < 1e-15
         raw["state"]["normalize"] = False
-        with pytest.raises(ConfigError, match="not normalized"):
+        with pytest.raises(ValueError, match="not normalized"):
             parse_run_config(raw)
 
     def test_rejects_unknown_keys_everywhere(self):
@@ -167,13 +167,13 @@ class TestParseRunConfig:
         ):
             raw = base_config()
             mutate(raw)
-            with pytest.raises(ConfigError, match="unknown"):
+            with pytest.raises(ValueError, match="unknown"):
                 parse_run_config(raw)
 
     def test_rejects_scales_plus_bounds(self):
         raw = base_config()
         raw["sweep"]["bounds"] = [0.1, 2.0]
-        with pytest.raises(ConfigError, match="not both"):
+        with pytest.raises(ValueError, match="not both"):
             parse_run_config(raw)
 
     def test_bounds_and_count_build_the_grid(self):
@@ -189,11 +189,11 @@ class TestParseRunConfig:
         assert parse_run_config(base_config(), seed_override=42).seed == 42
         raw = base_config()
         raw["seed"] = -3
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(ValueError, match="seed"):
             parse_run_config(raw)
 
     def test_missing_sections(self):
-        with pytest.raises(ConfigError, match="config missing key 'noise'"):
+        with pytest.raises(ValueError, match="config missing key 'noise'"):
             parse_run_config({"state": "plus", "channel": {"amplitude": 1, "threshold": 2}})
 
 
@@ -382,7 +382,17 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, ["sweep", "--config", config_path(base_config()),
                                         "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
-        assert "TELEPORT_SR_THREADS must be >= 1" in err
+        assert "TELEPORT_SR_THREADS must be an integer >= 1, got '0'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw", ["many", "0", "-2", "1.5", ""])
+    def test_bad_thread_env_gives_one_message(self, capsys, config_path, monkeypatch, tmp_path, raw):
+        monkeypatch.setenv("TELEPORT_SR_THREADS", raw)
+        code, out, err = run_cli(capsys, ["sweep", "--config", config_path(base_config()),
+                                          "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"config error: TELEPORT_SR_THREADS must be an integer >= 1, got {raw!r}\n"
         assert not (tmp_path / "out").exists()
 
     def test_outputs_follow_the_umask(self, capsys, config_path, tmp_path):
@@ -570,9 +580,12 @@ class TestTopLevelErrors:
 def test_module_entry_point(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(base_config()))
+    # Run from the directory that holds the imported package, so the child
+    # finds it whether it was installed or put on the path by pytest.
+    package_root = os.path.dirname(os.path.dirname(teleport_sr.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "teleport_sr", "weights", "--config", str(path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, cwd=package_root,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["qx"] == pytest.approx(1.0, abs=1e-12)

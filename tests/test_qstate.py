@@ -276,6 +276,19 @@ class TestFidelityAgainst:
         with pytest.raises(ValueError, match="Hermitian"):
             fidelity_against(QubitState(1, 0), np.array([[1, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("raw,problem", [
+        (2 * np.eye(2), "trace"),
+        ([[0.9, 0.9], [0.9, 0.1]], "negative eigenvalue"),
+    ])
+    def test_rejects_a_raw_array_that_is_no_density_matrix(self, raw, problem):
+        with pytest.raises(ValueError, match=problem):
+            fidelity_against(QubitState.preset("plus"), raw)
+
+    def test_leaves_a_raw_array_writable(self):
+        raw = np.eye(2, dtype=complex) / 2
+        fidelity_against(QubitState.preset("plus"), raw)
+        raw[0, 0] = 1.0
+
 
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
