@@ -1,7 +1,7 @@
 """Command-line front end: config-driven analyses with CSV/JSON/SVG output.
 
 Every command is a pure function of the config file and the seed, so reruns
-produce byte-identical output.  Subcommands:
+produce byte-identical output.  Commands:
 
     weights         Pauli weights of the configured state
     check-interval  forbidden interval and noise-benefit prediction
@@ -10,6 +10,11 @@ produce byte-identical output.  Subcommands:
     sweep           fidelity vs noise scale; writes CSV + JSON (+ SVG)
     optimum         best noise scale (a 16-point scan, refined by golden section)
     theorem-check   vanishing-noise fidelity limit
+
+Options may come before or after the command name.  Every command takes
+``--config`` (required) and ``--seed``; ``sweep`` also takes ``--out`` and
+``--svg``/``--no-svg``, and every other command takes ``--format json|csv``.
+An option the command does not take is an unrecognized argument (exit 2).
 
 The config format lives here only: every section is an object with no unknown
 keys and its required keys, and an error names the section and the key.  The
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -250,7 +256,7 @@ def _emit(mapping: dict, fmt: str) -> None:
         print(json.dumps(mapping, separators=(",", ":")))
 
 
-# --- subcommand handlers ---------------------------------------------------
+# --- command handlers ------------------------------------------------------
 
 def cmd_weights(cfg: RunConfig, args) -> int:
     w = pauli_weights(cfg.state)
@@ -479,28 +485,40 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One flat parser for every command, built on first use: not at import,
+    and once per process.  ``main`` refuses the options a command does not take.
+    """
     parser = argparse.ArgumentParser(
         prog="teleport-sr",
         description="Noise-benefit analysis of teleportation with thresholded classical feedforward.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="path to the JSON run config")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name == "sweep":
-            cmd.add_argument("--out", default=None, help="output directory (default: config out_dir)")
-            cmd.add_argument("--svg", action=argparse.BooleanOptionalAction, default=True,
-                             help="also render sweep.svg")
-        else:
-            cmd.add_argument("--format", choices=("json", "csv"), default="json",
-                             help="stdout format")
+    parser.add_argument("command", choices=tuple(_COMMANDS))
+    parser.add_argument("--config", required=True, help="path to the JSON run config")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--out", default=None,
+                        help="sweep only: output directory (default: config out_dir)")
+    parser.add_argument("--svg", action=argparse.BooleanOptionalAction, default=None,
+                        help="sweep only: also render sweep.svg (default: yes)")
+    parser.add_argument("--format", choices=("json", "csv"), default=None,
+                        help="every command but sweep: stdout format (default: json)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.command == "sweep":
+        refused = [] if args.format is None else [f"--format {args.format}"]
+    else:
+        refused = [] if args.out is None else [f"--out {args.out}"]
+        if args.svg is not None:
+            refused.append("--svg" if args.svg else "--no-svg")
+    if refused:
+        parser.error(f"unrecognized arguments: {' '.join(refused)}")
+    args.svg = args.svg is not False
+    args.format = args.format or "json"
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             raw = json.load(handle)

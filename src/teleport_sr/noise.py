@@ -149,7 +149,8 @@ class Gaussian(NoiseModel):
             np.multiply(np.divide(r, np.add(np.square(t, out=q), 1.0, out=q), out=q), 2.0, out=q)
             np.subtract(q, r, out=r)
             t *= q
-        pairs += self.mean
+        if self.mean:  # skipped at 0, where it would only turn -0.0 into 0.0
+            pairs += self.mean
         return pairs.reshape(-1)[:size]
 
     def cdf(self, x):
@@ -253,7 +254,8 @@ class AlphaStable(NoiseModel):
         y = z * multiplier if out is None else np.multiply(z, multiplier, out=out)
         if shift is not None:
             y += shift
-        y += self.location
+        if self.location:  # as in Gaussian.sample
+            y += self.location
         return y
 
     def cdf(self, x):

@@ -510,6 +510,70 @@ def test_csv_rows_hold_the_json_values(capsys, config_path, command):
         assert (text if isinstance(value, str) else json.loads(text)) == value
 
 
+PRINTING = ["weights", "check-interval", "probs", "simulate", "optimum", "theorem-check"]
+
+
+class TestOptions:
+    """One flat parser: options go anywhere, and each command takes only its own."""
+
+    @pytest.mark.parametrize("command", PRINTING)
+    def test_printing_options_before_or_after_the_command(self, capsys, config_path, command):
+        options = ["--config", config_path(base_config()), "--seed", "3", "--format", "csv"]
+        after = run_cli(capsys, [command] + options)
+        before = run_cli(capsys, options + [command])
+        assert after[0] == EXIT_OK and after[1].startswith("key,value\n")
+        assert before == after
+
+    def test_sweep_options_before_or_after_the_command(self, capsys, config_path, tmp_path):
+        path = config_path(base_config())
+        outputs = []
+        for name, argv in (("after", ["sweep", "--config", path, "--seed", "3", "--no-svg"]),
+                           ("before", ["--no-svg", "--seed", "3", "--config", path, "sweep"])):
+            out_dir = tmp_path / name
+            code, out, _ = run_cli(capsys, argv + ["--out", str(out_dir)])
+            assert code == EXIT_OK
+            assert json.loads(out)["svg"] is None
+            assert not (out_dir / "sweep.svg").exists()
+            outputs.append([(out_dir / f).read_bytes() for f in ("sweep.csv", "sweep.json")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command,option", [
+        *((command, option) for command in PRINTING
+          for option in (["--out", "x"], ["--svg"], ["--no-svg"])),
+        ("sweep", ["--format", "csv"]),
+    ])
+    def test_option_of_another_command_exits_2(self, capsys, config_path, tmp_path,
+                                               command, option):
+        argv = [command, "--config", config_path(base_config())] + option
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_CONFIG
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {' '.join(option)}\n" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        for command in PRINTING + ["sweep"]:
+            assert command in out
+
+    def test_import_builds_no_parser(self):
+        # The parser is built on the first call of main, so importing the
+        # module does not pay for it.
+        code = "import teleport_sr.cli as cli; print(cli._parser.cache_info().currsize)"
+        package_root = os.path.dirname(os.path.dirname(teleport_sr.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=package_root)
+        assert proc.returncode == 0
+        assert proc.stdout == "0\n"
+
+
 class TestTopLevelErrors:
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["weights", "--config", str(tmp_path / "absent.json")])

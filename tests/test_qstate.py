@@ -160,11 +160,24 @@ class TestBellMeasure:
         assert abs(corr) < 0.009
 
     def test_batch_is_bellbits_of_bit_arrays(self):
-        batch = bell_measure(np.random.default_rng(21), 16)
-        assert batch.shape == (2, 16) and batch.dtype == bool
-        # One draw of a (2, n) bool array: s1 is row 0, s2 is row 1.
-        rows = np.random.default_rng(21).integers(0, 2, (2, 16), dtype=bool)
-        np.testing.assert_array_equal(batch, rows)
+        # One draw of a (2, n) bool array: s1 is row 0, s2 is row 1.  The
+        # bits and the generator state after them are those of
+        # integers(0, 2, (2, n), dtype=bool) for every bit generator, at
+        # sizes that end mid-byte and mid-word, with a pending 32-bit half
+        # (left by one uint32 draw) or without.
+        generators = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                      np.random.Philox, np.random.SFC64)
+        for bit_generator in generators:
+            for n in (1, 3, 7, 16, 17, 31, 10**4, 12_345, 65_536):
+                for pending in (False, True):
+                    rng, ref = (np.random.Generator(bit_generator(21)) for _ in range(2))
+                    if pending:
+                        for g in (rng, ref):
+                            g.integers(0, 2**32, dtype=np.uint32)
+                    batch = bell_measure(rng, n)
+                    assert batch.shape == (2, n) and batch.dtype == bool
+                    np.testing.assert_array_equal(batch, ref.integers(0, 2, (2, n), dtype=bool))
+                    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
     def test_matches_full_state_vector_collapse(self):
         # The fair-bit shortcut must agree with the real measurement: every
