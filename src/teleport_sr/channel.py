@@ -25,6 +25,7 @@ __all__ = [
     "transmit_bits",
     "detection_probabilities",
     "forbidden_interval",
+    "center_regime",
     "sr_predicted",
 ]
 
@@ -66,13 +67,10 @@ class ChannelConfig:
 
 
 class Interval(NamedTuple):
-    """An open interval (lo, hi); endpoints count as outside."""
+    """The interval between ``lo`` and ``hi``; :func:`center_regime` places a center in it."""
 
     lo: float
     hi: float
-
-    def contains_open(self, x: float) -> bool:
-        return self.lo < x < self.hi
 
 
 @dataclass(frozen=True)
@@ -166,18 +164,41 @@ def detection_probabilities(config: ChannelConfig, noise: NoiseModel) -> Detecti
 
 
 def forbidden_interval(config: ChannelConfig) -> Interval:
-    """The open interval (threshold - A, threshold + A)."""
+    """The interval from threshold - A to threshold + A."""
     return Interval(config.threshold - config.amplitude, config.threshold + config.amplitude)
+
+
+def center_regime(config: ChannelConfig, noise: NoiseModel) -> str:
+    """Where the noise center (mean or stable location) sits as the scale vanishes.
+
+    ``"inside"`` strictly between the endpoints of the forbidden interval (P
+    tends to 1), ``"outside"`` beyond them (P tends to 0), and ``"endpoint"``
+    exactly on one.  There a pure scale map has P tend to 1 - F(center) at
+    the lower endpoint and F(center) at the upper one, and P never rises
+    with the scale.  A model whose center drifts faster than its scale
+    shrinks (``noise.center_drift``: only alpha = 1 stable noise with skew !=
+    0) counts as inside or outside on the side it drifts to.
+    """
+    lo, hi = forbidden_interval(config)
+    center = noise.center
+    if lo < center < hi:
+        return "inside"
+    if not lo <= center <= hi:
+        return "outside"
+    if not noise.center_drift:
+        return "endpoint"
+    return "inside" if (noise.center_drift > 0) == (center == lo) else "outside"
 
 
 def sr_predicted(config: ChannelConfig, noise: NoiseModel) -> bool:
     """Whether a nonmonotone noise benefit is predicted for this pairing.
 
-    True iff the noise center (mean or stable location) lies outside the open
-    forbidden interval; centers exactly on an endpoint count as outside.
-    Only defined for subthreshold configurations.
+    True iff :func:`center_regime` is ``"outside"``: the noise center lies
+    outside the closed forbidden interval, since a center exactly on an
+    endpoint gets no benefit either.  Only defined for subthreshold
+    configurations.
     """
     if not config.subthreshold:
         raise ValueError("noise-benefit prediction requires a subthreshold configuration")
-    return not forbidden_interval(config).contains_open(noise.center)
+    return center_regime(config, noise) == "outside"
 

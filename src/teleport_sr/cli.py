@@ -22,7 +22,8 @@ channel, resource and noise keys are the fields of the dataclass they build.
 ``config_to_json`` writes them back, and parsing its output is exact.
 
 Exit codes: 0 success, 2 invalid config, 3 unwritable output, 4 monotone
-regime (no interior optimum).  The TELEPORT_SR_THREADS environment variable
+regime (no interior optimum: the noise center inside the forbidden interval
+or on an endpoint).  The TELEPORT_SR_THREADS environment variable
 sets the sweep worker count (1 when unset); results do not depend on it.
 """
 
@@ -40,6 +41,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
+from . import __version__
 from .analysis import (
     EntanglementResource,
     MonotoneRegimeError,
@@ -54,6 +56,7 @@ from .analysis import (
 )
 from .channel import (
     ChannelConfig,
+    center_regime,
     detection_probabilities,
     forbidden_interval,
     sr_predicted,
@@ -269,6 +272,7 @@ def cmd_check_interval(cfg: RunConfig, args) -> int:
     _emit({
         "interval": [interval.lo, interval.hi],
         "center": cfg.noise.center,
+        "regime": center_regime(cfg.channel, cfg.noise),
         "sr_predicted": sr_predicted(cfg.channel, cfg.noise),
         "theorem": cfg.noise.theorem,
     }, args.format)
@@ -311,7 +315,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         csv_path = os.path.join(out_dir, "sweep.csv")
         json_path = os.path.join(out_dir, "sweep.json")
         _write_atomic(csv_path, result.to_csv())
-        payload = {"config": config_to_json(cfg), "config_sha256": digest}
+        payload = {"config": config_to_json(cfg), "config_sha256": digest,
+                   "teleport_sr_version": __version__, "numpy_version": np.__version__}
         payload.update(result.to_json_dict())
         _write_atomic(json_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         svg_path = None
@@ -351,6 +356,7 @@ def cmd_theorem_check(cfg: RunConfig, args) -> int:
         "theorem": cfg.noise.theorem,
         "center": report.center,
         "interval": list(report.interval),
+        "regime": report.regime,
         "center_inside": report.center_inside,
         "expected_limit": report.expected_limit,
         "tolerance": report.tolerance,

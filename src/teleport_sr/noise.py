@@ -22,9 +22,10 @@ exponentials (none for symmetric alpha = 1, whose transform does not use
 them), and holds only its output and one fixed scratch of ``3 * _CHUNK``
 values.  Stable families without a closed form get a table CDF: the
 transform maps the ``cdf_draws`` points of a rank-1 lattice (not random
-draws) to standard values, sorted once per (alpha, skew, cdf_draws) at 8
-bytes per point, and each model counts the entries whose image under its
-own location-scale map is <= x.  No per-scale table is built.
+draws) to standard values, held in float32 (4 bytes per point) and sorted
+once per (alpha, skew, cdf_draws), and each model counts the entries whose
+image under its own location-scale map, taken in float64, is <= x.  No
+per-scale table is built.
 
 Every model is an immutable value.  Sampling takes an explicit
 ``numpy.random.Generator`` so independent workers can hold independent
@@ -88,6 +89,9 @@ class NoiseModel(ABC):
     # Which of the paper's two forbidden-interval theorems covers the model.
     theorem = "finite_variance"
     has_exact_cdf = True
+    # Sign of the side the center moves to, relative to the scale, as the
+    # scale vanishes: 0 for a pure scale map about the center.
+    center_drift = 0
 
     def __post_init__(self):
         for f in fields(self):
@@ -200,11 +204,12 @@ class AlphaStable(NoiseModel):
     ``alpha`` is the stability exponent in (0, 2], ``skew`` the skewness in
     [-1, 1], ``gamma`` the dispersion (> 0) and ``location`` the shift.
     ``cdf_draws`` sizes the table CDF used when no closed form exists
-    (alpha=2 and symmetric alpha=1 have closed forms): one sorted table of
-    the standard values at that many lattice points per (alpha, skew),
-    shared by every scale, whose entries each model counts through its own
-    location-scale map.  The default 2^17 points put the CDF within 1.6e-4
-    of ``scipy.stats.levy_stable`` on the tested families.
+    (alpha=2 and symmetric alpha=1 have closed forms): one sorted float32
+    table of the standard values at that many lattice points per (alpha,
+    skew), shared by every scale, whose entries each model counts through
+    its own location-scale map, taken in float64.  The default 2^17 points
+    put the CDF within 1.6e-4 of ``scipy.stats.levy_stable`` on the tested
+    families, and within 2/N of the same lattice held in float64.
     ``sample`` applies the same map in place to its standard draws.
     """
 
@@ -263,8 +268,9 @@ class AlphaStable(NoiseModel):
             return 0.5 * (1.0 + math.erf((x - self.location) / (2.0 * math.sqrt(self.gamma))))
         if self._is_cauchy_form:
             return 0.5 + math.atan((x - self.location) / self.gamma) / math.pi
-        standard = _empirical_cdf_table(self)
-        return bisect.bisect_right(standard, x, key=self._rescale) / standard.size
+        standard = _empirical_cdf_table(self)  # float32; each image is taken in float64
+        count = bisect.bisect_right(standard, x, key=lambda z: self._rescale(float(z)))
+        return count / standard.size
 
     @property
     def theorem(self):
@@ -273,6 +279,15 @@ class AlphaStable(NoiseModel):
     @property
     def has_exact_cdf(self):
         return self._is_gaussian_form or self._is_cauchy_form
+
+    @property
+    def center_drift(self):
+        """The sign of ``skew`` at alpha = 1, where the shift
+        (2/pi)*beta*gamma*ln(gamma), beta = -skew, divided by gamma diverges
+        toward it as gamma -> 0; 0 for every other shape (a pure scale map)."""
+        if abs(self.alpha - 1.0) < _ALPHA_ONE_EPS and self.skew:
+            return 1 if self.skew > 0 else -1
+        return 0
 
 
 def _standard_stable(alpha, skew, rng, size):
@@ -345,9 +360,9 @@ def _cms_standard_alpha_one(alpha, beta, u, w, b, c):
 
 @lru_cache(maxsize=4)
 def _standard_table(alpha: float, skew: float, draws: int) -> np.ndarray:
-    """Sorted standard values of one stable shape at the ``draws`` points of
-    a rank-1 lattice, built in the returned array and one fixed scratch of
-    ``3 * _CHUNK`` values.
+    """Sorted float32 standard values of one stable shape at the ``draws``
+    points of a rank-1 lattice, built in the returned array (4 bytes per
+    point) and one fixed scratch of ``2 * _CHUNK`` float64 values.
 
     With N = ``draws`` and generator g = round(N / golden ratio), point k
     (k = 0 ... N-1) has angle pi*((k + 1/2)/N - 1/2) and exponential
@@ -357,26 +372,41 @@ def _standard_table(alpha: float, skew: float, draws: int) -> np.ndarray:
     (angle, exponential), and lattice points cover that square far more
     evenly than random ones (Sloan & Joe, "Lattice Methods for Multiple
     Integration", 1994).
+
+    Each angle and exponential is computed in float64 and rounded once to
+    float32; the transform then runs in float32.  Its rounding (6e-8
+    relative) is ~1,000 times below the lattice's own error.  A value past
+    float32's range (3.4e38; at the default size only for alpha below
+    ~0.22) is stored as +-inf without a warning, and counts as the float64
+    value would for every x of smaller magnitude.
     """
     beta = -skew
     transform = _cms_standard_alpha_one if abs(alpha - 1.0) < _ALPHA_ONE_EPS else _cms_standard
     step = round(draws / _GOLDEN)
-    table = np.ones(draws)
-    table[0] = 0.0
-    np.cumsum(table, out=table)  # k, exact in float64
-    scratch = np.empty((3, min(draws, _CHUNK)))
+    table = np.empty(draws, dtype=np.float32)
+    scratch = np.empty((2, min(draws, _CHUNK)))
     for lo in range(0, draws, _CHUNK):
         u = table[lo:lo + _CHUNK]
-        w, a, c = scratch[:, : u.size]
-        k = c.view(np.int64)  # copyto casts without ufunc buffers
-        np.copyto(k, u, casting="unsafe")
+        k, x = scratch[:, : u.size]
+        k = k.view(np.int64)
+        k.fill(1)
+        k[0] = lo
+        np.cumsum(k, out=k)  # lo, lo + 1, ...
+        np.copyto(x, k)  # copyto casts without ufunc buffers
+        np.divide(np.add(x, 0.5, out=x), draws, out=x)
+        np.multiply(np.subtract(x, 0.5, out=x), math.pi, out=x)  # the angle
+        np.copyto(u, x, casting="same_kind")
         np.remainder(np.multiply(k, step, out=k), draws, out=k)  # k*g mod N
-        np.copyto(w, k)
-        np.divide(np.add(w, 0.5, out=w), draws, out=w)  # y
-        np.negative(np.log1p(np.negative(w, out=w), out=w), out=w)  # the exponential
-        np.divide(np.add(u, 0.5, out=u), draws, out=u)
-        np.multiply(np.subtract(u, 0.5, out=u), math.pi, out=u)  # the angle
-        transform(alpha, beta, u, w, a, c)
+        np.copyto(x, k)
+        np.divide(np.add(x, 0.5, out=x), draws, out=x)  # y
+        np.negative(np.log1p(np.negative(x, out=x), out=x), out=x)  # the exponential
+        # Row 0 (k, now spent) holds the float32 exponential and one scratch
+        # row, row 1 (x, once cast) the other.
+        w, a = k.view(np.float32).reshape(2, -1)
+        np.copyto(w, x, casting="same_kind")
+        c = x.view(np.float32)[: u.size]
+        with np.errstate(over="ignore"):  # a value past float32's range is +-inf
+            transform(alpha, beta, u, w, a, c)
     table.sort()
     table.setflags(write=False)
     return table
@@ -384,7 +414,7 @@ def _standard_table(alpha: float, skew: float, draws: int) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _empirical_cdf_table(model: AlphaStable) -> np.ndarray:
-    """The shared sorted standard lattice table behind ``model.cdf`` (not a copy).
+    """The shared sorted float32 standard lattice table behind ``model.cdf`` (not a copy).
 
     ``model.cdf`` counts its entries through ``model._rescale``, so no scaled
     table is built.  The per-model cache stays because ``bench/child.py``

@@ -40,6 +40,7 @@ from teleport_sr.channel import (
     detection_probabilities,
     encode,
     forbidden_interval,
+    sr_predicted,
 )
 from teleport_sr.noise import AlphaStable, Gaussian, Laplace, Uniform
 from teleport_sr.qstate import (
@@ -509,6 +510,11 @@ class TestFindOptimalNoise:
         with pytest.raises(MonotoneRegimeError, match="monotone"):
             find_optimal_noise(PLUS, REF_CHANNEL, Gaussian(0.7, 1.0), PERFECT, (0.01, 3.0))
 
+    @pytest.mark.parametrize("center", [0.5, 2.7])
+    def test_endpoint_is_monotone(self, center):
+        with pytest.raises(MonotoneRegimeError, match="closed forbidden interval"):
+            find_optimal_noise(PLUS, REF_CHANNEL, Gaussian(center, 1.0), PERFECT, (0.01, 3.0))
+
     def test_bounds_validation(self):
         with pytest.raises(ValueError, match="bounds"):
             find_optimal_noise(PLUS, REF_CHANNEL, Gaussian(0.0, 1.0), PERFECT, (0.0, 3.0))
@@ -546,6 +552,48 @@ class TestTheoremLimit:
         inside = theorem_limit_check(PLUS, REF_CHANNEL, type(family)(0.7, 1.0),
                                      small_scales=(1e-1, 1e-2, 1e-3))
         assert inside.expected_limit == 1.0 and inside.within_tolerance
+
+    @pytest.mark.parametrize("family", [Gaussian, Uniform, Laplace,
+                                        lambda c, s: AlphaStable(1.0, 0.0, s, c)],
+                             ids=["gaussian", "uniform", "laplace", "cauchy"])
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_symmetric_endpoint_limit(self, family, end):
+        # On an endpoint P tends to F(center) = 1/2, so plus tends to 3/4.
+        center = getattr(forbidden_interval(REF_CHANNEL), end)
+        report = theorem_limit_check(PLUS, REF_CHANNEL, family(center, 1.0))
+        assert report.regime == "endpoint" and not report.center_inside
+        assert report.expected_limit == analytic_fidelity(pauli_weights(PLUS), 0.5)
+        assert report.expected_limit == pytest.approx(0.75)
+        assert report.within_tolerance
+
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_skewed_endpoint_limit_is_the_cdf_at_the_center(self, end):
+        center = getattr(forbidden_interval(REF_CHANNEL), end)
+        model = AlphaStable(1.5, 0.5, 1.0, center, cdf_draws=20_000)
+        report = theorem_limit_check(PLUS, REF_CHANNEL, model,
+                                     EntanglementResource(0.8))
+        at_center = model.cdf(center)
+        p = 1.0 - at_center if end == "lo" else at_center
+        assert abs(p - 0.5) > 0.01
+        assert report.regime == "endpoint"
+        assert report.expected_limit == analytic_fidelity(pauli_weights(PLUS), p,
+                                                          EntanglementResource(0.8))
+        assert report.within_tolerance
+
+    def test_interval_narrower_than_a_float_has_both_endpoints_at_the_center(self):
+        # threshold -+ 1e-17 both round to 1.6, so P is 0 at every scale.
+        report = theorem_limit_check(PLUS, ChannelConfig(1e-17, 1.6), Gaussian(1.6, 1.0))
+        assert report.regime == "endpoint"
+        assert report.expected_limit == 0.5 and report.within_tolerance
+
+    def test_skewed_alpha_one_endpoint_takes_the_regime_of_its_drift(self):
+        # Skew 0.5 drifts into the interval from its lower endpoint: the
+        # inside limit applies, approached so slowly that 1e-6 misses it.
+        report = theorem_limit_check(PLUS, REF_CHANNEL, AlphaStable(1.0, 0.5, 1.0, 0.5))
+        assert report.regime == "inside" and report.center_inside
+        assert report.expected_limit == 1.0
+        assert list(report.analytic_f) == sorted(report.analytic_f)
+        assert not report.within_tolerance
 
     def test_grid_must_descend(self):
         with pytest.raises(ValueError, match="descend"):
@@ -617,18 +665,30 @@ LOG_GRID = [float(s) for s in np.logspace(-3, 3, 61)]
 
 
 @st.composite
-def theorem_cases(draw, inside: bool):
-    """A subthreshold channel and an exact-CDF family whose center lies inside
-    (or outside) the forbidden interval, at least 0.1 from both endpoints."""
+def theorem_cases(draw, where: str):
+    """A subthreshold channel and an exact-CDF family whose center lies
+    ``where``: inside or outside the forbidden interval, at least 0.1 from
+    both endpoints, or exactly on an endpoint."""
     amplitude = draw(st.floats(0.15, 2.0))
     config = ChannelConfig(amplitude, amplitude + draw(st.floats(0.05, 3.0)))
     lo, hi = forbidden_interval(config)
-    if inside:
+    if where == "inside":
         center = draw(st.floats(lo + 0.1, hi - 0.1))
-    else:
+    elif where == "outside":
         gap = draw(st.floats(0.1, 3.0))
         center = draw(st.sampled_from([lo - gap, hi + gap]))
+    else:
+        center = draw(st.sampled_from([lo, hi]))
     return config, draw(EXACT_FAMILIES)(center, 1.0)
+
+
+def expected_limit(regime: str, werner_f: float) -> float:
+    """The vanishing-noise limit for ``plus`` under a symmetric family: 1/2 +
+    w/2 inside, 1/2 outside, and the fidelity at P = F(center) = 1/2 on an
+    endpoint."""
+    if regime == "endpoint":
+        return analytic_fidelity(pauli_weights(PLUS), 0.5, EntanglementResource(werner_f))
+    return 0.5 + 0.5 * werner_f if regime == "inside" else 0.5
 
 
 def fidelity_on_log_grid(config, model):
@@ -639,23 +699,30 @@ def fidelity_on_log_grid(config, model):
 class TestProperties:
     # F - 1/2 scales with the Werner weight, so the shape over the grid is
     # checked for a perfect pair and the limit for any weight.
-    @given(case=theorem_cases(inside=True), werner_f=st.floats(0.0, 1.0))
+    @given(case=st.one_of(theorem_cases("inside"), theorem_cases("endpoint")),
+           werner_f=st.floats(0.0, 1.0))
     def test_noise_only_hurts_with_the_center_inside(self, case, werner_f):
         config, model = case
         report = theorem_limit_check(PLUS, config, model, EntanglementResource(werner_f))
-        assert report.expected_limit == 0.5 + 0.5 * werner_f
+        assert report.regime in ("inside", "endpoint")
+        assert report.expected_limit == expected_limit(report.regime, werner_f)
         assert report.within_tolerance
+        assert not sr_predicted(config, model)
         values = fidelity_on_log_grid(config, model)
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
-    @given(case=theorem_cases(inside=False), werner_f=st.floats(0.0, 1.0))
+    @given(case=st.one_of(theorem_cases("outside"), theorem_cases("endpoint")),
+           werner_f=st.floats(0.0, 1.0))
     def test_noise_helps_with_the_center_outside(self, case, werner_f):
+        # Outside the closed interval noise helps; on an endpoint it does not.
         config, model = case
         report = theorem_limit_check(PLUS, config, model, EntanglementResource(werner_f))
-        assert report.expected_limit == 0.5
+        assert report.expected_limit == expected_limit(report.regime, werner_f)
         assert report.within_tolerance
+        outside = report.regime == "outside"
+        assert sr_predicted(config, model) == outside
         values = fidelity_on_log_grid(config, model)
-        assert max(values) > max(values[0], values[-1])
+        assert (max(values) > max(values[0], values[-1])) == outside
 
     @given(state=STATES, config=SUBTHRESHOLD, model=MODELS, werner_f=st.floats(0.0, 1.0))
     def test_fidelity_band_and_nonnegative_detection_gap(self, state, config, model, werner_f):

@@ -16,6 +16,7 @@ from scipy import stats as sps
 from teleport_sr.channel import (
     ChannelConfig,
     DetectionStats,
+    center_regime,
     detect,
     detection_probabilities,
     encode,
@@ -259,10 +260,12 @@ class TestSrPredicted:
     def test_cauchy_center_inside(self):
         assert not sr_predicted(REF_CHANNEL, AlphaStable(1.0, 0.0, 1.0, 0.7))
 
-    def test_endpoint_counts_as_outside(self):
+    def test_endpoint_predicts_no_benefit(self):
+        # On an endpoint P falls from its vanishing-noise limit as noise
+        # grows, so the closed interval decides.
         interval = forbidden_interval(REF_CHANNEL)
-        assert sr_predicted(REF_CHANNEL, AlphaStable(1.0, 0.0, 1.0, interval.hi))
-        assert sr_predicted(REF_CHANNEL, Gaussian(interval.lo, 1.0))
+        assert not sr_predicted(REF_CHANNEL, AlphaStable(1.0, 0.0, 1.0, interval.hi))
+        assert not sr_predicted(REF_CHANNEL, Gaussian(interval.lo, 1.0))
 
     def test_flips_exactly_at_endpoints(self):
         interval = forbidden_interval(REF_CHANNEL)
@@ -271,10 +274,42 @@ class TestSrPredicted:
             [interval.lo, interval.hi],
         ])
         for center in centers:
-            expected = not (interval.lo < center < interval.hi)
+            expected = not (interval.lo <= center <= interval.hi)
             assert sr_predicted(REF_CHANNEL, Gaussian(float(center), 1.0)) == expected
 
     def test_requires_subthreshold(self):
         cfg = ChannelConfig(2.0, 1.6, allow_suprathreshold=True)
         with pytest.raises(ValueError, match="subthreshold"):
             sr_predicted(cfg, Gaussian(0.0, 1.0))
+
+
+class TestCenterRegime:
+    @pytest.mark.parametrize("center,regime", [
+        (0.0, "outside"), (0.5, "endpoint"), (0.7, "inside"), (2.7, "endpoint"), (3.0, "outside"),
+    ])
+    @pytest.mark.parametrize("family", [Gaussian, Uniform, Laplace,
+                                        lambda c, s: AlphaStable(1.0, 0.0, s, c),
+                                        lambda c, s: AlphaStable(1.5, 0.5, s, c)],
+                             ids=["gaussian", "uniform", "laplace", "cauchy", "stable-1.5"])
+    def test_pure_scale_maps(self, family, center, regime):
+        model = family(center, 1.0)
+        assert center_regime(REF_CHANNEL, model) == regime
+        assert model.center_drift == 0
+
+    @pytest.mark.parametrize("skew,at_lo,at_hi", [(0.5, "inside", "outside"),
+                                                   (-0.5, "outside", "inside")])
+    def test_skewed_alpha_one_endpoint_follows_the_skew(self, skew, at_lo, at_hi):
+        # The alpha = 1 shift (2/pi)*beta*gamma*ln(gamma), beta = -skew, has
+        # the sign of skew for gamma < 1 and outgrows gamma as it vanishes,
+        # so the center drifts to that side: P heads for 1 inside and 0
+        # outside, if only logarithmically.
+        interval = forbidden_interval(REF_CHANNEL)
+        for center, regime in ((interval.lo, at_lo), (interval.hi, at_hi)):
+            model = AlphaStable(1.0, skew, 1.0, center)
+            assert model.center_drift == (1 if skew > 0 else -1)
+            assert center_regime(REF_CHANNEL, model) == regime
+            assert sr_predicted(REF_CHANNEL, model) == (regime == "outside")
+            p = [detection_probabilities(REF_CHANNEL, model.with_scale(s)).P
+                 for s in (1e-2, 1e-4, 1e-6)]
+            assert p == sorted(p, reverse=regime == "outside")
+            assert (p[0] > 0.5) == (regime == "inside")

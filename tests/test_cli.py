@@ -12,6 +12,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -259,7 +260,32 @@ class TestCheckIntervalCommand:
         _, out, _ = run_cli(capsys, ["check-interval", "--config", config_path(raw)])
         payload = json.loads(out)
         assert payload["center"] == 2.7
-        assert payload["sr_predicted"] is True
+        assert payload["regime"] == "endpoint"
+        assert payload["sr_predicted"] is False
+
+
+@pytest.mark.parametrize("noise,center_key", [
+    ({"kind": "gaussian"}, "mean"), ({"kind": "uniform"}, "mean"), ({"kind": "laplace"}, "mean"),
+    ({"kind": "alpha_stable", "alpha": 1.0}, "location"),
+], ids=["gaussian", "uniform", "laplace", "cauchy"])
+@pytest.mark.parametrize("center", [0.5, 2.7], ids=["lo", "hi"])
+def test_endpoints_get_one_answer(capsys, config_path, noise, center_key, center):
+    # A center on an endpoint gets no noise benefit: check-interval predicts
+    # none, optimum reports the monotone regime, and theorem-check expects
+    # the limit 3/4 that its values reach.
+    raw = base_config()
+    raw["noise"] = {**noise, center_key: center}
+    path = config_path(raw)
+    _, out, _ = run_cli(capsys, ["check-interval", "--config", path])
+    interval = json.loads(out)
+    assert (interval["regime"], interval["sr_predicted"]) == ("endpoint", False)
+    code, out, _ = run_cli(capsys, ["optimum", "--config", path])
+    assert code == EXIT_MONOTONE and json.loads(out)["regime"] == "monotone"
+    _, out, _ = run_cli(capsys, ["theorem-check", "--config", path])
+    report = json.loads(out)
+    assert (report["regime"], report["center_inside"]) == ("endpoint", False)
+    assert report["expected_limit"] == pytest.approx(0.75, abs=1e-15)
+    assert report["within_tolerance"] is True
 
 
 class TestProbsCommand:
@@ -330,6 +356,18 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert json.loads(out)["svg"] is None
         assert not (out_dir / "sweep.svg").exists()
+
+    def test_sweep_json_records_the_versions(self, capsys, config_path, tmp_path):
+        # Provenance rides next to the config hash; reruns stay byte-identical.
+        path = config_path(base_config())
+        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+        run_cli(capsys, ["sweep", "--config", path, "--out", str(a_dir)])
+        run_cli(capsys, ["sweep", "--config", path, "--out", str(b_dir)])
+        payload = json.loads((a_dir / "sweep.json").read_text())
+        assert payload["teleport_sr_version"] == teleport_sr.__version__
+        assert payload["numpy_version"] == np.__version__
+        for name in ("sweep.csv", "sweep.json", "sweep.svg"):
+            assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
     def test_single_trial_rerun_is_byte_identical(self, capsys, config_path, tmp_path):
         raw = base_config()

@@ -13,6 +13,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +31,26 @@ from teleport_sr.noise import (
 )
 
 GRID = np.linspace(-8.0, 8.0, 101)
+# (alpha, skew) families whose default table is checked against references.
+TABLE_FAMILIES = [
+    (0.5, 0.0), (0.8, 0.0), (0.8, -0.6), (1.2, 0.0), (1.2, 0.7), (1.5, 0.0), (1.5, 0.5),
+    (1.8, -0.3), (1.95, 1.0),
+]
+
+
+def lattice_values(alpha, skew, n, dtype):
+    """The transform at the ``n`` lattice points, unsorted, computed in ``dtype``.
+
+    Angle and exponential are computed in float64 as ``_standard_table``
+    documents them and rounded once to ``dtype``.
+    """
+    k = np.arange(n)
+    step = round(n / ((1 + math.sqrt(5)) / 2))
+    u = (math.pi * ((k + 0.5) / n - 0.5)).astype(dtype)
+    w = (-np.log1p(-((k * step % n + 0.5) / n))).astype(dtype)
+    transform = noise._cms_standard_alpha_one if alpha == 1.0 else noise._cms_standard
+    transform(alpha, -skew, u, w, np.empty(n, dtype), np.empty(n, dtype))
+    return u
 
 
 def ks_statistic(samples, reference) -> float:
@@ -37,15 +58,17 @@ def ks_statistic(samples, reference) -> float:
 
     A noise model's CDF takes one point at a time, except an empirical-table
     stable model's: that is its table's empirical CDF through the model's
-    location-scale map, evaluated on the whole sorted sample once it matches
-    ``cdf`` bit for bit on 1,000 of the points.  A scipy distribution's CDF
-    is evaluated once, on the whole sorted sample.
+    location-scale map (in float64, as ``cdf`` takes it), evaluated on the
+    whole sorted sample once it matches ``cdf`` bit for bit on 1,000 of the
+    points.  A scipy distribution's CDF is evaluated once, on the whole
+    sorted sample.
     """
     x = np.sort(np.asarray(samples))
     n = x.size
     if isinstance(reference, noise.NoiseModel) and not reference.has_exact_cdf:
         table = noise._empirical_cdf_table(reference)
-        values = np.searchsorted(reference._rescale(table), x, side="right") / table.size
+        images = reference._rescale(table.astype(np.float64))
+        values = np.searchsorted(images, x, side="right") / table.size
         picks = slice(None, None, max(1, n // 1000))
         assert [reference.cdf(v) for v in x[picks]] == values[picks].tolist()
     elif isinstance(reference, noise.NoiseModel):
@@ -165,26 +188,18 @@ class TestCdf:
     ], ids=["alpha1.5-gamma0.4", "alpha1.5-gamma2.5", "alpha1-gamma0.6", "alpha1-gamma1.7",
             "alpha1-gamma1e-4"])
     def test_table_is_the_sorted_sample_of_the_model(self, model):
-        # cdf counts the shared standard table through the model's map; it
-        # must equal the empirical CDF of the model's images of the lattice
-        # points, bit for bit, at every point and on both sides of it.
-        n = model.cdf_draws
-        k = np.arange(n)
-        step = round(n / ((1 + math.sqrt(5)) / 2))
-        u = math.pi * ((k + 0.5) / n - 0.5)
-        w = -np.log1p(-((k * step % n + 0.5) / n))
-        transform = noise._cms_standard_alpha_one if model.alpha == 1.0 else noise._cms_standard
-        transform(model.alpha, -model.skew, u, w, np.empty(n), np.empty(n))
-        expected = np.sort(model._rescale(u))
+        # cdf counts the shared float32 standard table through the model's
+        # map, taken in float64; it must equal the empirical CDF of the
+        # model's images of the float32 lattice values, bit for bit, at
+        # every point and on both sides of it.
+        standard = lattice_values(model.alpha, model.skew, model.cdf_draws, np.float32)
+        expected = np.sort(model._rescale(standard.astype(np.float64)))
         points = np.concatenate([expected, np.nextafter(expected, -np.inf),
                                  np.nextafter(expected, np.inf)])
         want = np.searchsorted(expected, points, side="right") / expected.size
         assert [model.cdf(x) for x in points] == want.tolist()
 
-    @pytest.mark.parametrize("alpha,skew", [
-        (0.5, 0.0), (0.8, 0.0), (0.8, -0.6), (1.2, 0.0), (1.2, 0.7), (1.5, 0.0), (1.5, 0.5),
-        (1.8, -0.3), (1.95, 1.0),
-    ])
+    @pytest.mark.parametrize("alpha,skew", TABLE_FAMILIES)
     def test_default_table_matches_levy_stable(self, alpha, skew):
         # scipy's S1 parameterization with beta = -skew and scale 1 is the
         # documented standard shape; it is accurate to ~1e-9 for |alpha - 1|
@@ -209,9 +224,37 @@ class TestCdf:
         ours = np.array([model.cdf(x) for x in xs])
         assert np.all(np.abs(ours - want) <= 5.0 * sigma)
 
+    @pytest.mark.parametrize("alpha,skew", TABLE_FAMILIES)
+    def test_default_table_is_within_two_steps_of_a_float64_table(self, alpha, skew):
+        # Rounding the lattice values to float32 moves the counted CDF by at
+        # most a step or two of 1/N against the same lattice in float64.
+        model = AlphaStable(alpha, skew)
+        n = model.cdf_draws
+        wide = np.sort(lattice_values(alpha, skew, n, np.float64))
+        xs = np.linspace(-5.0, 8.0, 53)
+        want = np.searchsorted(wide, xs, side="right") / n
+        ours = np.array([model.cdf(x) for x in xs])
+        assert np.max(np.abs(ours - want)) <= 2 / n
+
+    @pytest.mark.parametrize("skew", [0.0, 1.0])
+    def test_values_past_float32_are_stored_as_inf(self, skew):
+        # At alpha 0.2 one default-size lattice value exceeds float32's
+        # range; it is stored as +-inf, silently, and nothing becomes NaN.
+        size = AlphaStable(0.2, skew).cdf_draws
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = noise._standard_table.__wrapped__(0.2, skew, size)
+        wide = np.sort(lattice_values(0.2, skew, size, np.float64))
+        past = np.abs(wide) > np.finfo(np.float32).max
+        assert past.any()
+        assert not np.isnan(table).any()
+        np.testing.assert_array_equal(np.isinf(table), past)
+        np.testing.assert_array_equal(table[past], np.copysign(np.inf, wide[past]))
+
     def test_default_table_holds_only_its_output_and_a_fixed_scratch(self):
-        # 2^17 entries of 8 bytes plus three rows of _CHUNK values, like the
-        # sampler; the lattice indices live in a scratch row.
+        # 2^17 float32 entries of 4 bytes plus two float64 rows of _CHUNK
+        # values: the lattice indices and the float64 angles and
+        # exponentials, whose rows then hold the float32 scratch.
         size = AlphaStable(1.5, 0.5).cdf_draws
         assert size == 1 << 17
         tracemalloc.start()
@@ -220,8 +263,8 @@ class TestCdf:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert table.size == size
-        assert peak <= 8 * size + 3 * 8 * noise._CHUNK + 64 * 1024
+        assert table.size == size and table.dtype == np.float32
+        assert peak <= 4 * size + 2 * 8 * noise._CHUNK + 64 * 1024
 
 
 class TestSampler:
