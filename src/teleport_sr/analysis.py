@@ -64,6 +64,10 @@ _LIMIT_TOL = 1e-5
 # call.  A fixed constant, so results never depend on the worker count.
 _BLOCK = 1 << 16
 
+# Default noise scales: the sweep grid's (lo, hi] and theorem_limit_check's grid.
+DEFAULT_SCALE_BOUNDS = (0.01, 3.0)
+DEFAULT_SMALL_SCALES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+
 COLUMNS = ("scale", "scale_squared", "analytic_f", "mc_mean", "mc_min", "mc_max", "mc_smoothed")
 CSV_HEADER = ",".join(COLUMNS)
 
@@ -179,7 +183,8 @@ def check_scales(values, where: str, descending: bool = False) -> tuple[float, .
     return scales
 
 
-def default_scale_grid(count: int = 60, lo: float = 0.01, hi: float = 3.0) -> tuple[float, ...]:
+def default_scale_grid(count: int = 60, lo: float = DEFAULT_SCALE_BOUNDS[0],
+                       hi: float = DEFAULT_SCALE_BOUNDS[1]) -> tuple[float, ...]:
     """``count`` linearly spaced noise scales on (lo, hi]; lo is excluded."""
     integer_at_least(count, "count", 1)
     return tuple(float(x) for x in np.linspace(lo, hi, count + 1)[1:])
@@ -334,7 +339,7 @@ def _maximize(fn, lo: float, hi: float):
 
 def find_optimal_noise(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
                        resource: EntanglementResource = EntanglementResource(),
-                       scale_bounds: tuple[float, float] = (0.01, 3.0)) -> OptimalNoise:
+                       scale_bounds: tuple[float, float] = DEFAULT_SCALE_BOUNDS) -> OptimalNoise:
     """Noise scale maximizing the analytic fidelity over ``scale_bounds``.
 
     A scan of 16 evenly spaced scales finds a maximum on a bound or past a
@@ -389,7 +394,7 @@ class TheoremLimitReport:
 
 def theorem_limit_check(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
                         resource: EntanglementResource = EntanglementResource(),
-                        small_scales: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+                        small_scales: Sequence[float] = DEFAULT_SMALL_SCALES
                         ) -> TheoremLimitReport:
     """Evaluate the vanishing-noise limit of the analytic fidelity.
 

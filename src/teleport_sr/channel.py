@@ -2,9 +2,9 @@
 
 A bit is encoded as -A (bit 0) or +A (bit 1), corrupted by one draw of the
 channel noise, and detected as 1 exactly when the received value exceeds the
-threshold.  Signals are subthreshold by default (0 < A < threshold), which is
-the regime where a noise benefit can occur at all: without noise neither
-signal level ever crosses the threshold.
+threshold.  Signals are subthreshold by default (0 < A < threshold): without
+noise neither signal level ever crosses the threshold, so noise is what lets
+the bits through.  The forbidden-interval predicates hold for any amplitude.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ class ChannelConfig:
     Both numbers must be finite and are stored as floats, and
     ``allow_suprathreshold`` must be a boolean.  Construction enforces the
     subthreshold regime 0 < amplitude < threshold unless
-    ``allow_suprathreshold`` is set; the noise-benefit predicates only make
-    sense for subthreshold signals.
+    ``allow_suprathreshold`` is set.
     """
 
     amplitude: float
@@ -55,7 +54,7 @@ class ChannelConfig:
                              f"got {self.allow_suprathreshold!r}")
         if not self.amplitude > 0:
             raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
-        if self.amplitude >= self.threshold and not self.allow_suprathreshold:
+        if not self.subthreshold and not self.allow_suprathreshold:
             raise ValueError(
                 f"suprathreshold signal (amplitude {self.amplitude} >= threshold "
                 f"{self.threshold}); pass allow_suprathreshold=True to override"
@@ -195,10 +194,8 @@ def sr_predicted(config: ChannelConfig, noise: NoiseModel) -> bool:
 
     True iff :func:`center_regime` is ``"outside"``: the noise center lies
     outside the closed forbidden interval, since a center exactly on an
-    endpoint gets no benefit either.  Only defined for subthreshold
-    configurations.
+    endpoint gets no benefit either.  No subthreshold assumption is needed:
+    outside, P tends to 0 as the scale vanishes, so some noise must help.
     """
-    if not config.subthreshold:
-        raise ValueError("noise-benefit prediction requires a subthreshold configuration")
     return center_regime(config, noise) == "outside"
 

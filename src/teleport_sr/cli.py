@@ -21,10 +21,14 @@ keys and its required keys, and an error names the section and the key.  The
 channel, resource and noise keys are the fields of the dataclass they build.
 ``config_to_json`` writes them back, and parsing its output is exact.
 
-Exit codes: 0 success, 2 invalid config, 3 unwritable output, 4 monotone
-regime (no interior optimum: the noise center inside the forbidden interval
-or on an endpoint).  The TELEPORT_SR_THREADS environment variable
-sets the sweep worker count (1 when unset); results do not depend on it.
+Each command handler returns the mapping it prints; ``main`` alone writes
+stdout and stderr and picks the exit code from what the handler raised:
+0 success, 2 invalid config (ValueError), 3 an output file or stdout that
+cannot be written (OSError), 4 monotone regime (MonotoneRegimeError: no
+interior optimum, the noise center inside the forbidden interval or on an
+endpoint; its mapping still goes to stdout).  The TELEPORT_SR_THREADS
+environment variable sets the sweep worker count (1 when unset); results do
+not depend on it.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DEFAULT_SCALE_BOUNDS,
+    DEFAULT_SMALL_SCALES,
     EntanglementResource,
     MonotoneRegimeError,
     SweepResult,
@@ -82,8 +88,6 @@ _ENV_THREADS = "TELEPORT_SR_THREADS"
 _TOP_KEYS = {"state", "channel", "noise", "resource", "sweep", "seed", "out_dir"}
 _SWEEP_KEYS = {"scales", "bounds", "count", "runs", "trials", "window", "small_scales"}
 _NOISE_KINDS = {cls.kind: cls for cls in (Gaussian, Uniform, Laplace, AlphaStable)}
-
-_DEFAULT_SMALL_SCALES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,7 @@ def _parse_sweep_section(spec):
     _section(spec, "sweep", _SWEEP_KEYS)
     if "scales" in spec and ("bounds" in spec or "count" in spec):
         raise ValueError("sweep accepts either scales or bounds+count, not both")
-    bounds = (0.01, 3.0)
+    bounds = DEFAULT_SCALE_BOUNDS
     if "bounds" in spec:
         bounds = _scale_list(spec["bounds"], "sweep.bounds")
         if len(bounds) != 2:
@@ -177,7 +181,7 @@ def _parse_sweep_section(spec):
     window = integer_at_least(spec.get("window", 5), "sweep.window", 1)
     if window % 2 == 0:
         raise ValueError(f"sweep.window must be odd, got {window}")
-    small_scales = _DEFAULT_SMALL_SCALES
+    small_scales = DEFAULT_SMALL_SCALES
     if "small_scales" in spec:
         small_scales = _scale_list(spec["small_scales"], "sweep.small_scales", descending=True)
     return scales, bounds, runs, trials, window, small_scales
@@ -259,50 +263,42 @@ def _emit(mapping: dict, fmt: str) -> None:
         print(json.dumps(mapping, separators=(",", ":")))
 
 
-# --- command handlers ------------------------------------------------------
+# --- command handlers: each returns the mapping that ``main`` prints -------
 
-def cmd_weights(cfg: RunConfig, args) -> int:
+def cmd_weights(cfg: RunConfig, args) -> dict:
     w = pauli_weights(cfg.state)
-    _emit({"qx": w.qx, "qz": w.qz, "qxz": w.qxz}, args.format)
-    return EXIT_OK
+    return {"qx": w.qx, "qz": w.qz, "qxz": w.qxz}
 
 
-def cmd_check_interval(cfg: RunConfig, args) -> int:
+def cmd_check_interval(cfg: RunConfig, args) -> dict:
     interval = forbidden_interval(cfg.channel)
-    _emit({
+    return {
         "interval": [interval.lo, interval.hi],
         "center": cfg.noise.center,
         "regime": center_regime(cfg.channel, cfg.noise),
         "sr_predicted": sr_predicted(cfg.channel, cfg.noise),
         "theorem": cfg.noise.theorem,
-    }, args.format)
-    return EXIT_OK
+    }
 
 
-def cmd_probs(cfg: RunConfig, args) -> int:
+def cmd_probs(cfg: RunConfig, args) -> dict:
     stats = detection_probabilities(cfg.channel, cfg.noise)
     exact = cfg.noise.has_exact_cdf
-    _emit({
+    return {
         "p00": stats.p00, "p01": stats.p01, "p10": stats.p10, "p11": stats.p11,
         "P": stats.P, "cdf_exact": exact, "cdf_draws": None if exact else cfg.noise.cdf_draws,
-    }, args.format)
-    return EXIT_OK
+    }
 
 
-def cmd_simulate(cfg: RunConfig, args) -> int:
+def cmd_simulate(cfg: RunConfig, args) -> dict:
     estimate = estimate_fidelity(cfg.state, cfg.channel, cfg.noise, cfg.resource, cfg.trials,
                                  np.random.default_rng(cfg.seed))
     analytic = analytic_at(pauli_weights(cfg.state), cfg.channel, cfg.noise, cfg.resource)
-    _emit({
-        "fidelity_estimate": estimate,
-        "analytic_fidelity": analytic,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-    }, args.format)
-    return EXIT_OK
+    return {"fidelity_estimate": estimate, "analytic_fidelity": analytic,
+            "trials": cfg.trials, "seed": cfg.seed}
 
 
-def cmd_sweep(cfg: RunConfig, args) -> int:
+def cmd_sweep(cfg: RunConfig, args) -> dict:
     result = sweep(
         cfg.state, cfg.channel, cfg.noise, cfg.scales, cfg.runs, cfg.trials,
         cfg.resource, smoothing_window=cfg.window, master_seed=cfg.seed,
@@ -310,49 +306,29 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     )
     out_dir = args.out if args.out is not None else cfg.out_dir
     digest = config_hash(cfg)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, "sweep.csv")
-        json_path = os.path.join(out_dir, "sweep.json")
-        _write_atomic(csv_path, result.to_csv())
-        payload = {"config": config_to_json(cfg), "config_sha256": digest,
-                   "teleport_sr_version": __version__, "numpy_version": np.__version__}
-        payload.update(result.to_json_dict())
-        _write_atomic(json_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        svg_path = None
-        if args.svg:
-            svg_path = os.path.join(out_dir, "sweep.svg")
-            _write_atomic(svg_path, render_sweep_svg(result, digest))
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    _emit({"csv": csv_path, "json": json_path, "svg": svg_path}, "json")
-    return EXIT_OK
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, "sweep.csv")
+    json_path = os.path.join(out_dir, "sweep.json")
+    _write_atomic(csv_path, result.to_csv())
+    payload = {"config": config_to_json(cfg), "config_sha256": digest,
+               "teleport_sr_version": __version__, "numpy_version": np.__version__}
+    payload.update(result.to_json_dict())
+    _write_atomic(json_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    svg_path = None
+    if args.svg:
+        svg_path = os.path.join(out_dir, "sweep.svg")
+        _write_atomic(svg_path, render_sweep_svg(result, digest))
+    return {"csv": csv_path, "json": json_path, "svg": svg_path}
 
 
-def cmd_optimum(cfg: RunConfig, args) -> int:
-    try:
-        best = find_optimal_noise(cfg.state, cfg.channel, cfg.noise, cfg.resource, cfg.bounds)
-    except MonotoneRegimeError as exc:
-        _emit({
-            "regime": "monotone",
-            "center": exc.center,
-            "interval": [exc.interval.lo, exc.interval.hi],
-        }, args.format)
-        return EXIT_MONOTONE
-    _emit({
-        "scale_opt": best.scale,
-        "fidelity_opt": best.fidelity,
-        "bounds": list(cfg.bounds),
-    }, args.format)
-    return EXIT_OK
+def cmd_optimum(cfg: RunConfig, args) -> dict:
+    best = find_optimal_noise(cfg.state, cfg.channel, cfg.noise, cfg.resource, cfg.bounds)
+    return {"scale_opt": best.scale, "fidelity_opt": best.fidelity, "bounds": list(cfg.bounds)}
 
 
-def cmd_theorem_check(cfg: RunConfig, args) -> int:
-    report = theorem_limit_check(
-        cfg.state, cfg.channel, cfg.noise, cfg.resource, cfg.small_scales
-    )
-    _emit({
+def cmd_theorem_check(cfg: RunConfig, args) -> dict:
+    report = theorem_limit_check(cfg.state, cfg.channel, cfg.noise, cfg.resource, cfg.small_scales)
+    return {
         "theorem": cfg.noise.theorem,
         "center": report.center,
         "interval": list(report.interval),
@@ -361,12 +337,8 @@ def cmd_theorem_check(cfg: RunConfig, args) -> int:
         "expected_limit": report.expected_limit,
         "tolerance": report.tolerance,
         "within_tolerance": report.within_tolerance,
-        "rows": [
-            {"scale": s, "analytic_f": f}
-            for s, f in zip(report.scales, report.analytic_f)
-        ],
-    }, args.format)
-    return EXIT_OK
+        "rows": [{"scale": s, "analytic_f": f} for s, f in zip(report.scales, report.analytic_f)],
+    }
 
 
 # --- output plumbing -------------------------------------------------------
@@ -409,6 +381,21 @@ def render_sweep_svg(result: SweepResult, digest: str) -> str:
     def points(values) -> str:
         return " ".join(f"{px(x):.2f},{py(v):.2f}" for x, v in zip(xs, values))
 
+    def attrs(**values) -> dict:
+        # Floats print to 2 decimals, ints as they are; keyword order is attribute order.
+        return {k.replace("_", "-"): f"{v:.2f}" if isinstance(v, float) else str(v)
+                for k, v in values.items()}
+
+    def line(parent, x1, y1, x2, y2, **style):
+        ET.SubElement(parent, "line", attrs(x1=x1, y1=y1, x2=x2, y2=y2, **style))
+
+    def text(parent, x, y, label, anchor, **style):
+        ET.SubElement(parent, "text", attrs(x=x, y=y, text_anchor=anchor, **style)).text = label
+
+    def polyline(values, stroke, width, **style):
+        ET.SubElement(svg, "polyline", attrs(points=points(values), fill="none", stroke=stroke,
+                                             stroke_width=width, **style))
+
     svg = ET.Element("svg", {
         "xmlns": "http://www.w3.org/2000/svg",
         "width": str(width), "height": str(height),
@@ -419,62 +406,37 @@ def render_sweep_svg(result: SweepResult, digest: str) -> str:
                                 "height": str(height), "fill": "white"})
 
     axes = ET.SubElement(svg, "g", {"stroke": "black", "stroke-width": "1"})
-    ET.SubElement(axes, "line", {"x1": f"{m_left}", "y1": f"{py(y_lo):.2f}",
-                                 "x2": f"{width - m_right}", "y2": f"{py(y_lo):.2f}"})
-    ET.SubElement(axes, "line", {"x1": f"{m_left}", "y1": f"{py(y_lo):.2f}",
-                                 "x2": f"{m_left}", "y2": f"{m_top}"})
+    line(axes, m_left, py(y_lo), width - m_right, py(y_lo))
+    line(axes, m_left, py(y_lo), m_left, m_top)
 
     labels = ET.SubElement(svg, "g", {"font-family": "sans-serif", "font-size": "12",
                                       "fill": "black"})
     ticks = ET.SubElement(svg, "g", {"stroke": "black", "stroke-width": "1"})
     for i in range(7):
         x = x_max * i / 6
-        ET.SubElement(ticks, "line", {"x1": f"{px(x):.2f}", "y1": f"{py(y_lo):.2f}",
-                                      "x2": f"{px(x):.2f}", "y2": f"{py(y_lo) + 5:.2f}"})
-        tick = ET.SubElement(labels, "text", {"x": f"{px(x):.2f}", "y": f"{py(y_lo) + 20:.2f}",
-                                              "text-anchor": "middle"})
-        tick.text = f"{x:.2f}"
+        line(ticks, px(x), py(y_lo), px(x), py(y_lo) + 5)
+        text(labels, px(x), py(y_lo) + 20, f"{x:.2f}", "middle")
     for i in range(6):
         y = y_lo + (y_hi - y_lo) * i / 5
-        ET.SubElement(ticks, "line", {"x1": f"{m_left - 5}", "y1": f"{py(y):.2f}",
-                                      "x2": f"{m_left}", "y2": f"{py(y):.2f}"})
-        tick = ET.SubElement(labels, "text", {"x": f"{m_left - 9}", "y": f"{py(y) + 4:.2f}",
-                                              "text-anchor": "end"})
-        tick.text = f"{y:.3f}"
+        line(ticks, m_left - 5, py(y), m_left, py(y))
+        text(labels, m_left - 9, py(y) + 4, f"{y:.3f}", "end")
 
-    x_label = ET.SubElement(labels, "text", {"x": f"{(m_left + width - m_right) / 2:.2f}",
-                                             "y": f"{height - 14}", "text-anchor": "middle"})
-    x_label.text = "noise scale"
-    y_label = ET.SubElement(labels, "text", {
-        "x": "18", "y": f"{(m_top + height - m_bottom) / 2:.2f}", "text-anchor": "middle",
-        "transform": f"rotate(-90 18 {(m_top + height - m_bottom) / 2:.2f})",
-    })
-    y_label.text = "teleportation fidelity"
+    text(labels, (m_left + width - m_right) / 2, height - 14, "noise scale", "middle")
+    y_mid = (m_top + height - m_bottom) / 2
+    text(labels, 18, y_mid, "teleportation fidelity", "middle",
+         transform=f"rotate(-90 18 {y_mid:.2f})")
 
     for ref, name in ((2.0 / 3.0, "classical limit"), (0.5, "fidelity floor")):
         if not y_lo <= ref <= y_hi:
             continue
-        ET.SubElement(svg, "line", {
-            "x1": f"{m_left}", "y1": f"{py(ref):.2f}",
-            "x2": f"{width - m_right}", "y2": f"{py(ref):.2f}",
-            "stroke": "gray", "stroke-width": "1", "stroke-dasharray": "6,4",
-        })
-        caption = ET.SubElement(svg, "text", {
-            "x": f"{width - m_right - 4}", "y": f"{py(ref) - 4:.2f}",
-            "text-anchor": "end", "font-family": "sans-serif",
-            "font-size": "12", "fill": "gray",
-        })
-        caption.text = name
+        line(svg, m_left, py(ref), width - m_right, py(ref),
+             stroke="gray", stroke_width=1, stroke_dasharray="6,4")
+        text(svg, width - m_right - 4, py(ref) - 4, name, "end",
+             font_family="sans-serif", font_size=12, fill="gray")
 
     for band in (result.mc_min, result.mc_max):
-        ET.SubElement(svg, "polyline", {
-            "points": points(band), "fill": "none",
-            "stroke": "steelblue", "stroke-width": "1", "stroke-dasharray": "2,4",
-        })
-    ET.SubElement(svg, "polyline", {
-        "points": points(result.mc_smoothed), "fill": "none",
-        "stroke": "black", "stroke-width": "2.5",
-    })
+        polyline(band, "steelblue", 1, stroke_dasharray="2,4")
+    polyline(result.mc_smoothed, "black", "2.5")
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(svg, encoding="unicode") + "\n"
 
 
@@ -533,10 +495,20 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = parse_run_config(raw, seed_override=args.seed)
-        return _COMMANDS[args.command](cfg, args)
+        try:
+            mapping, code = _COMMANDS[args.command](cfg, args), EXIT_OK
+        except MonotoneRegimeError as exc:
+            interval = [exc.interval.lo, exc.interval.hi]
+            mapping = {"regime": "monotone", "center": exc.center, "interval": interval}
+            code = EXIT_MONOTONE
+        _emit(mapping, args.format)
+        return code
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:  # an output file, or stdout itself
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 def entrypoint() -> None:

@@ -14,6 +14,7 @@ Pauli algebra cancel in every projector and are not tracked.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,6 +46,7 @@ _INV_SQRT2 = 1 / np.sqrt(2)
 class QubitState:
     """A pure qubit ``alpha|0> + beta|1>``; must be normalized.
 
+    The amplitudes must be numbers (not booleans) and are stored as complex.
     Construction rejects unnormalized amplitudes rather than silently
     rescaling them (use :meth:`normalized` to rescale explicitly).
     """
@@ -53,6 +55,11 @@ class QubitState:
     beta: complex
 
     def __post_init__(self):
+        for name in ("alpha", "beta"):
+            z = getattr(self, name)
+            if isinstance(z, bool) or not isinstance(z, numbers.Number):
+                raise ValueError(f"state.{name} must be a number, not a boolean, got {z!r}")
+            object.__setattr__(self, name, complex(z))
         norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         # Written so that a NaN norm fails too.
         if not abs(norm_sq - 1.0) <= _ATOL:

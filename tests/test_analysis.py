@@ -457,6 +457,11 @@ class TestSweep:
         assert payload["rows"][2]["mc_max"] == res.mc_max[2]
         assert payload["metadata"]["runs"] == 4
 
+    def test_int_amplitudes_are_recorded_as_floats(self):
+        state = self.small(state=QubitState(1, 0)).metadata["state"]
+        assert repr(state) == repr(self.small(state=QubitState(1.0, 0.0)).metadata["state"])
+        assert state["alpha"] == [1.0, 0.0] and isinstance(state["alpha"][0], float)
+
     def test_result_rejects_infeasible_fidelities(self):
         from teleport_sr.analysis import SweepResult
         ok = self.small()

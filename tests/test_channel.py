@@ -277,10 +277,15 @@ class TestSrPredicted:
             expected = not (interval.lo <= center <= interval.hi)
             assert sr_predicted(REF_CHANNEL, Gaussian(float(center), 1.0)) == expected
 
-    def test_requires_subthreshold(self):
+    def test_suprathreshold_follows_the_center(self):
+        # The forbidden interval [-0.4, 3.6] decides here as it does below threshold.
         cfg = ChannelConfig(2.0, 1.6, allow_suprathreshold=True)
-        with pytest.raises(ValueError, match="subthreshold"):
-            sr_predicted(cfg, Gaussian(0.0, 1.0))
+        assert center_regime(cfg, Gaussian(0.0, 1.0)) == "inside"
+        assert not sr_predicted(cfg, Gaussian(0.0, 1.0))
+        assert center_regime(cfg, Gaussian(5.0, 1.0)) == "outside"
+        assert sr_predicted(cfg, Gaussian(5.0, 1.0))
+        p = [detection_probabilities(cfg, Gaussian(5.0, s)).P for s in (0.3, 3.0)]
+        assert p[0] < 1e-5 < p[1]
 
 
 class TestCenterRegime:

@@ -4,7 +4,9 @@ Commands run in-process through ``main``; file outputs land in pytest tmp
 directories.  Determinism contracts are byte-level.
 """
 
+import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -17,6 +19,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import teleport_sr
+from teleport_sr import cli
+from teleport_sr.analysis import MonotoneRegimeError
+from teleport_sr.channel import Interval
 from teleport_sr.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -479,6 +484,26 @@ class TestOptimumCommand:
         payload = json.loads(out)
         assert payload["regime"] == "monotone"
         assert payload["center"] == 0.7
+        code, out, err = run_cli(capsys, ["optimum", "--config", config_path(raw),
+                                          "--format", "csv"])
+        assert (code, err) == (EXIT_MONOTONE, "")
+        assert out == 'key,value\nregime,monotone\ncenter,0.7\ninterval,"[0.5,2.7]"\n'
+
+    @pytest.mark.parametrize("mean, code, predicted", [(0.0, EXIT_MONOTONE, False),
+                                                       (5.0, EXIT_OK, True)])
+    def test_suprathreshold_channel_gets_an_answer(self, capsys, config_path, mean, code,
+                                                    predicted):
+        # The forbidden interval is [-0.4, 3.6]: mean 0 is inside it, mean 5 outside.
+        raw = base_config()
+        raw["channel"] = {"amplitude": 2.0, "threshold": 1.6, "allow_suprathreshold": True}
+        raw["noise"]["mean"] = mean
+        path = config_path(raw)
+        got, out, err = run_cli(capsys, ["check-interval", "--config", path])
+        assert (got, err) == (EXIT_OK, "")
+        assert json.loads(out)["sr_predicted"] is predicted
+        got, out, err = run_cli(capsys, ["optimum", "--config", path])
+        assert (got, err) == (code, "")
+        assert ("scale_opt" in json.loads(out)) is predicted
 
 
 class TestTheoremCheckCommand:
@@ -610,6 +635,72 @@ class TestOptions:
                               cwd=package_root)
         assert proc.returncode == 0
         assert proc.stdout == "0\n"
+
+
+class TestExitCodeTable:
+    """``main`` alone prints: a handler returns its mapping or raises, and
+    ``main`` picks the stream, the message and the exit code."""
+
+    @pytest.fixture
+    def probs_raises(self, monkeypatch):
+        def install(exc):
+            def cmd_probs(cfg, args):
+                raise exc
+            monkeypatch.setitem(cli._COMMANDS, "probs", cmd_probs)
+        return install
+
+    @pytest.mark.parametrize("exc, code, err", [
+        (ValueError("bad value"), EXIT_CONFIG, "config error: bad value\n"),
+        (OSError("disk full"), EXIT_IO, "output error: disk full\n"),
+        (PermissionError(13, "Permission denied"), EXIT_IO,
+         "output error: [Errno 13] Permission denied\n"),
+    ], ids=["value-error", "os-error", "permission-error"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_errors_go_to_stderr(self, capsys, config_path, probs_raises, exc, code, err, fmt):
+        probs_raises(exc)
+        argv = ["probs", "--config", config_path(base_config()), "--format", fmt]
+        assert run_cli(capsys, argv) == (code, "", err)
+
+    @pytest.mark.parametrize("fmt, out", [
+        ("json", '{"regime":"monotone","center":1.0,"interval":[0.5,2.7]}\n'),
+        ("csv", 'key,value\nregime,monotone\ncenter,1.0\ninterval,"[0.5,2.7]"\n'),
+    ], ids=["json", "csv"])
+    def test_monotone_regime_goes_to_stdout(self, capsys, config_path, probs_raises, fmt, out):
+        probs_raises(MonotoneRegimeError(1.0, Interval(0.5, 2.7)))
+        argv = ["probs", "--config", config_path(base_config()), "--format", fmt]
+        assert run_cli(capsys, argv) == (EXIT_MONOTONE, out, "")
+
+    def test_returned_mapping_is_printed(self, capsys, config_path, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "probs", lambda cfg, args: {"a": [1, 2], "b": "x"})
+        path = config_path(base_config())
+        assert run_cli(capsys, ["probs", "--config", path]) == (
+            EXIT_OK, '{"a":[1,2],"b":"x"}\n', "")
+        assert run_cli(capsys, ["probs", "--config", path, "--format", "csv"]) == (
+            EXIT_OK, 'key,value\na,"[1,2]"\nb,x\n', "")
+
+    @pytest.mark.parametrize("command, fmt", [("weights", "json"), ("weights", "csv"),
+                                              ("sweep", None)])
+    def test_broken_stdout_is_an_output_error(self, capsys, config_path, monkeypatch, tmp_path,
+                                              command, fmt):
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        argv = [command, "--config", config_path(base_config())]
+        argv += ["--out", str(tmp_path)] if fmt is None else ["--format", fmt]
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err == "output error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_handlers_return_a_mapping_and_print_nothing(self, capsys, tmp_path, command):
+        cfg = parse_run_config(base_config())
+        args = argparse.Namespace(command=command, config=None, seed=None, out=str(tmp_path),
+                                  svg=True, format="csv")
+        mapping = cli._COMMANDS[command](cfg, args)
+        assert capsys.readouterr() == ("", "")
+        assert isinstance(mapping, dict) and mapping
+        assert json.loads(json.dumps(mapping)) == mapping
 
 
 class TestTopLevelErrors:

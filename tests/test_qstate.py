@@ -64,6 +64,21 @@ class TestQubitState:
             with pytest.raises(ValueError, match="not normalized"):
                 QubitState(alpha, beta)
 
+    @pytest.mark.parametrize("alpha, beta, field", [
+        (True, False, "state.alpha"), (1.0, np.False_, "state.beta"),
+        ("1", 0.0, "state.alpha"), (1.0, None, "state.beta"), ([1.0], 0.0, "state.alpha"),
+    ])
+    def test_rejects_booleans_and_non_numbers(self, alpha, beta, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a number"):
+            QubitState(alpha, beta)
+
+    def test_stores_complex_amplitudes(self):
+        for alpha, beta in ((1, 0), (1.0, 0.0), (np.float32(1.0), np.complex64(0.0))):
+            state = QubitState(alpha, beta)
+            assert (type(state.alpha), type(state.beta)) == (complex, complex)
+            assert state == QubitState(1.0, 0.0)
+            assert hash(state) == hash(STATE_PRESETS["zero"])
+
     def test_normalized_constructor_rescales(self):
         state = QubitState.normalized(3.0, 4.0j)
         assert state.alpha == pytest.approx(0.6)
