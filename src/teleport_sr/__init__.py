@@ -26,9 +26,7 @@ from .channel import (
     ChannelConfig,
     DetectionStats,
     Interval,
-    detect,
     detection_probabilities,
-    encode,
     forbidden_interval,
     sr_predicted,
     transmit_bits,

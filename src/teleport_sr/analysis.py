@@ -64,8 +64,11 @@ _LIMIT_TOL = 1e-5
 # call.  A fixed constant, so results never depend on the worker count.
 _BLOCK = 1 << 16
 
-# Default noise scales: the sweep grid's (lo, hi] and theorem_limit_check's grid.
+# Sweep defaults: the grid's (lo, hi] and length, and the smoothing window;
+# then theorem_limit_check's grid.
 DEFAULT_SCALE_BOUNDS = (0.01, 3.0)
+DEFAULT_SCALE_COUNT = 60
+DEFAULT_SMOOTHING_WINDOW = 5
 DEFAULT_SMALL_SCALES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 COLUMNS = ("scale", "scale_squared", "analytic_f", "mc_mean", "mc_min", "mc_max", "mc_smoothed")
@@ -183,7 +186,7 @@ def check_scales(values, where: str, descending: bool = False) -> tuple[float, .
     return scales
 
 
-def default_scale_grid(count: int = 60, lo: float = DEFAULT_SCALE_BOUNDS[0],
+def default_scale_grid(count: int = DEFAULT_SCALE_COUNT, lo: float = DEFAULT_SCALE_BOUNDS[0],
                        hi: float = DEFAULT_SCALE_BOUNDS[1]) -> tuple[float, ...]:
     """``count`` linearly spaced noise scales on (lo, hi]; lo is excluded."""
     integer_at_least(count, "count", 1)
@@ -254,7 +257,7 @@ def _cell_rng(master_seed: int, scale_index: int, run_index: int) -> np.random.G
 def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
           scales: Sequence[float], runs: int, trials_per_run: int,
           resource: EntanglementResource = EntanglementResource(),
-          smoothing_window: int = 5, master_seed: int = 0,
+          smoothing_window: int = DEFAULT_SMOOTHING_WINDOW, master_seed: int = 0,
           workers: int = 1) -> SweepResult:
     """Analytic and Monte Carlo fidelity across a grid of noise scales.
 

@@ -48,7 +48,9 @@ import numpy as np
 from . import __version__
 from .analysis import (
     DEFAULT_SCALE_BOUNDS,
+    DEFAULT_SCALE_COUNT,
     DEFAULT_SMALL_SCALES,
+    DEFAULT_SMOOTHING_WINDOW,
     EntanglementResource,
     MonotoneRegimeError,
     SweepResult,
@@ -85,7 +87,7 @@ EXIT_MONOTONE = 4
 
 _ENV_THREADS = "TELEPORT_SR_THREADS"
 
-_TOP_KEYS = {"state", "channel", "noise", "resource", "sweep", "seed", "out_dir"}
+_TOP_KEYS = {"state", "channel", "noise", "resource", "sweep", "seed"}
 _SWEEP_KEYS = {"scales", "bounds", "count", "runs", "trials", "window", "small_scales"}
 _NOISE_KINDS = {cls.kind: cls for cls in (Gaussian, Uniform, Laplace, AlphaStable)}
 
@@ -103,7 +105,6 @@ class RunConfig:
     window: int
     small_scales: tuple[float, ...]
     seed: int
-    out_dir: str
 
 
 def _section(spec, where: str, keys, required=()) -> dict:
@@ -174,11 +175,11 @@ def _parse_sweep_section(spec):
         if len(scales) < 2:
             bounds = (scales[0] / 2, scales[0])
     else:
-        count = integer_at_least(spec.get("count", 60), "sweep.count", 1)
+        count = integer_at_least(spec.get("count", DEFAULT_SCALE_COUNT), "sweep.count", 1)
         scales = default_scale_grid(count, bounds[0], bounds[1])
     runs = integer_at_least(spec.get("runs", 100), "sweep.runs", 1)
     trials = integer_at_least(spec.get("trials", 10_000), "sweep.trials", 1)
-    window = integer_at_least(spec.get("window", 5), "sweep.window", 1)
+    window = integer_at_least(spec.get("window", DEFAULT_SMOOTHING_WINDOW), "sweep.window", 1)
     if window % 2 == 0:
         raise ValueError(f"sweep.window must be odd, got {window}")
     small_scales = DEFAULT_SMALL_SCALES
@@ -199,13 +200,10 @@ def parse_run_config(raw, seed_override: int | None = None) -> RunConfig:
     scales, bounds, runs, trials, window, small_scales = _parse_sweep_section(optional["sweep"])
     seed = raw.get("seed", 0) if seed_override is None else seed_override
     integer_at_least(seed, "seed", 0)
-    out_dir = raw.get("out_dir", ".")
-    if not isinstance(out_dir, str):
-        raise ValueError(f"out_dir must be a string, got {out_dir!r}")
     return RunConfig(
         state=state, channel=chan, noise=model, resource=resource,
         scales=scales, bounds=bounds, runs=runs, trials=trials, window=window,
-        small_scales=small_scales, seed=seed, out_dir=out_dir,
+        small_scales=small_scales, seed=seed,
     )
 
 
@@ -235,7 +233,6 @@ def config_to_json(cfg: RunConfig) -> dict:
             "small_scales": list(cfg.small_scales),
         },
         "seed": cfg.seed,
-        "out_dir": cfg.out_dir,
     }
 
 
@@ -304,7 +301,7 @@ def cmd_sweep(cfg: RunConfig, args) -> dict:
         cfg.resource, smoothing_window=cfg.window, master_seed=cfg.seed,
         workers=_worker_count(),
     )
-    out_dir = args.out if args.out is not None else cfg.out_dir
+    out_dir = "." if args.out is None else args.out
     digest = config_hash(cfg)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
@@ -344,7 +341,9 @@ def cmd_theorem_check(cfg: RunConfig, args) -> dict:
 # --- output plumbing -------------------------------------------------------
 
 def _write_atomic(path: str, text: str) -> None:
-    tmp = f"{path}.{os.getpid()}.tmp"  # made by open(), so its mode follows the umask
+    # A fresh random name per write, so a temp left by a killed run (even one
+    # with this PID) never blocks it; made by open(), so its mode follows the umask.
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     handle = open(tmp, "x", encoding="utf-8")
     try:
         with handle:
@@ -466,7 +465,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None,
-                        help="sweep only: output directory (default: config out_dir)")
+                        help="sweep only: output directory (default: the current directory)")
     parser.add_argument("--svg", action=argparse.BooleanOptionalAction, default=None,
                         help="sweep only: also render sweep.svg (default: yes)")
     parser.add_argument("--format", choices=("json", "csv"), default=None,

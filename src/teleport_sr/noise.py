@@ -40,7 +40,7 @@ import sys
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,6 +64,9 @@ _STANDARD_TABLE_LOCK = threading.Lock()
 
 _SQRT2 = math.sqrt(2.0)
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2
+# log1p(-u) at the largest u below 1 that Generator.random returns: the
+# most negative log a Box-Muller radius takes.
+_MIN_RADIUS_LOG = math.log1p(-(1.0 - 2.0**-53))
 
 # Draws per in-place pass of the stable transform, and pairs per pass of the
 # Gaussian one: bounds their scratch memory and keeps a sweep cell's 2 * 10^4
@@ -78,8 +81,9 @@ class NoiseModel(ABC):
     center (``_center_field``: the mean, or the stable location) and the
     field holding the scale swept in noise-level studies (``_scale_field``).
     Construction stores every field declared ``float`` as :func:`finite_real`
-    returns it (so ``0`` and ``0.0`` build equal, equally printed models)
-    and checks that the scale is positive.
+    returns it (so ``0`` and ``0.0`` build equal, equally printed models),
+    checks that the scale is positive, runs the family's own checks and then
+    checks that every float the sampler derives from the parameters is finite.
     """
 
     kind: str
@@ -100,6 +104,21 @@ class NoiseModel(ABC):
                 object.__setattr__(self, f.name, value)
         if not self.scale > 0:
             raise ValueError(f"{self.kind} {self._scale_field} must be > 0, got {self.scale}")
+        self._check_shape()
+        try:
+            finite = all(map(math.isfinite, self._sampling_map))
+        except OverflowError:  # float ** raises where * returns inf
+            finite = False
+        if not finite:
+            where = f"{self.kind} {self._scale_field} {self.scale!r} at {self._center_field}"
+            raise ValueError(f"{where} {self.center!r} overflows a float in the sampler")
+
+    def _check_shape(self) -> None:
+        """The family's own parameter checks, run before its sampling map is taken."""
+
+    # The floats the sampler derives from the parameters, computed once per
+    # model: none where numpy's own sampler takes them as they are.
+    _sampling_map: tuple[float, ...] = ()
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -141,14 +160,20 @@ class Gaussian(NoiseModel):
     kind = "gaussian"
     _scale_field = "sigma"
 
+    @cached_property
+    def _sampling_map(self):
+        radius_factor = -2.0 * self.sigma**2
+        return radius_factor, radius_factor * _MIN_RADIUS_LOG  # the largest squared radius
+
     def sample(self, rng, size):
+        radius_factor, _ = self._sampling_map
         pairs = rng.random((2, (size + 1) // 2))
         scratch = np.empty(min(pairs.shape[1], _CHUNK))
         for lo in range(0, pairs.shape[1], _CHUNK):  # in place, _CHUNK pairs at a time
             r, t = pairs[:, lo:lo + _CHUNK]
             q = scratch[: r.size]
             np.log1p(np.negative(r, out=r), out=r)
-            np.sqrt(np.multiply(r, -2.0 * self.sigma**2, out=r), out=r)
+            np.sqrt(np.multiply(r, radius_factor, out=r), out=r)
             np.tan(np.subtract(np.multiply(t, math.pi, out=t), math.pi / 2, out=t), out=t)
             np.multiply(np.divide(r, np.add(np.square(t, out=q), 1.0, out=q), out=q), 2.0, out=q)
             np.subtract(q, r, out=r)
@@ -171,8 +196,14 @@ class Uniform(NoiseModel):
     kind = "uniform"
     _scale_field = "half_width"
 
+    @cached_property
+    def _sampling_map(self):
+        low, high = self.mean - self.half_width, self.mean + self.half_width
+        return low, high, high - low  # numpy refuses an infinite high - low
+
     def sample(self, rng, size):
-        return rng.uniform(self.mean - self.half_width, self.mean + self.half_width, size)
+        low, high, _ = self._sampling_map
+        return rng.uniform(low, high, size)
 
     def cdf(self, x):
         t = (x - self.mean + self.half_width) / (2.0 * self.half_width)
@@ -223,8 +254,7 @@ class AlphaStable(NoiseModel):
     _center_field = "location"
     _scale_field = "gamma"
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_shape(self):
         if not 0 < self.alpha <= 2:
             raise ValueError(f"stable alpha must be in (0, 2], got {self.alpha}")
         if not -1 <= self.skew <= 1:
@@ -251,17 +281,21 @@ class AlphaStable(NoiseModel):
         read-only table through it.  Positive affine, so non-decreasing
         even in floats.
         """
-        if abs(self.alpha - 1.0) < _ALPHA_ONE_EPS:
-            beta = -self.skew
-            multiplier, shift = self.gamma, (2 / math.pi) * beta * self.gamma * math.log(self.gamma)
-        else:
-            multiplier, shift = self.gamma ** (1.0 / self.alpha), None
+        multiplier, shift = self._sampling_map
         y = z * multiplier if out is None else np.multiply(z, multiplier, out=out)
-        if shift is not None:
+        if shift:  # as the location below
             y += shift
         if self.location:  # as in Gaussian.sample
             y += self.location
         return y
+
+    @cached_property
+    def _sampling_map(self):
+        """The multiplier and shift of the location-scale map; the shift is 0 off alpha = 1."""
+        if abs(self.alpha - 1.0) < _ALPHA_ONE_EPS:
+            beta = -self.skew
+            return self.gamma, (2 / math.pi) * beta * self.gamma * math.log(self.gamma)
+        return self.gamma ** (1.0 / self.alpha), 0.0
 
     def cdf(self, x):
         if self._is_gaussian_form:

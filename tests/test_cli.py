@@ -80,6 +80,15 @@ CONFIGS = st.fixed_dictionaries({
 })
 
 
+# Noise whose sampling map overflows a float, one per family that computes
+# one, and the start of the error that refuses it.
+OVERFLOWING = [
+    ({"kind": "gaussian", "sigma": 1e200}, "gaussian sigma 1e+200"),
+    ({"kind": "uniform", "mean": 1e308, "half_width": 1e308}, "uniform half_width 1e+308"),
+    ({"kind": "alpha_stable", "alpha": 0.5, "gamma": 1e300}, "alpha_stable gamma 1e+300"),
+]
+
+
 @pytest.fixture
 def config_path(tmp_path):
     def write(cfg, name="config.json"):
@@ -113,7 +122,7 @@ class TestParseRunConfig:
         assert cfg.resource.werner_f == 1.0
         assert cfg.runs == 100 and cfg.trials == 10_000 and cfg.window == 5
         assert len(cfg.scales) == 60
-        assert cfg.seed == 0 and cfg.out_dir == "."
+        assert cfg.seed == 0
         assert cfg.bounds == (0.01, 3.0)
         nulls = parse_run_config({
             "state": "zero",
@@ -413,6 +422,32 @@ class TestSweepCommand:
                                         "--out", str(blocker)])
         assert code == EXIT_IO
         assert "output error" in err
+
+    def test_without_out_writes_into_the_current_directory(self, capsys, config_path, tmp_path,
+                                                           monkeypatch):
+        path = config_path(base_config())
+        run_cli(capsys, ["sweep", "--config", path, "--out", str(tmp_path / "elsewhere")])
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, ["sweep", "--config", path])
+        assert code == EXIT_OK
+        assert json.loads(out)["csv"] == os.path.join(".", "sweep.csv")
+        # The recorded config and its hash describe the computation, not the place.
+        for name in ("sweep.csv", "sweep.json", "sweep.svg"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "elsewhere" / name).read_bytes()
+        assert "out_dir" not in json.loads((tmp_path / "sweep.json").read_text())["config"]
+
+    def test_stale_temp_file_does_not_block_the_sweep(self, capsys, config_path, tmp_path):
+        # A run killed mid-write leaves its temp; a later run may have the same PID.
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        stale = out_dir / f"sweep.csv.{os.getpid()}.tmp"
+        stale.write_text("stale")
+        code, _, err = run_cli(capsys, ["sweep", "--config", config_path(base_config()),
+                                        "--out", str(out_dir)])
+        assert (code, err) == (EXIT_OK, "")
+        assert stale.read_text() == "stale"
+        assert sorted(os.listdir(out_dir)) == sorted(
+            ["sweep.csv", "sweep.json", "sweep.svg", stale.name])
 
     def test_bad_thread_env_is_a_config_error(self, capsys, config_path, monkeypatch):
         monkeypatch.setenv("TELEPORT_SR_THREADS", "many")
@@ -743,7 +778,7 @@ class TestTopLevelErrors:
         (("sweep", "scales"), "0.5", "sweep.scales"),
         (("sweep",), '{"bounds": [0.5, 1.0, 2.0]}', "sweep.bounds"),
         (("sweep", "window"), "4", "sweep.window"),
-        (("out_dir",), "7", "out_dir"),
+        (("out_dir",), "7", "unknown config keys: ['out_dir']"),
     ], ids=["nan-mean", "inf-threshold", "1e999-threshold", "huge-int-threshold",
             "bool-threshold", "string-amplitude", "string-werner-f", "nan-alpha",
             "nan-scale", "missing-stable-alpha", "non-object-channel", "unknown-channel-key",
@@ -762,6 +797,22 @@ class TestTopLevelErrors:
         assert code == EXIT_CONFIG
         assert out == ""
         assert field in err
+
+    @pytest.mark.parametrize("command, noise, sweep, where", [
+        *((command, noise, {}, where) for command in ("probs", "simulate", "sweep", "optimum")
+          for noise, where in OVERFLOWING),
+        # Bounds that reach such a scale, in the sweep grid or the optimum scan.
+        *((command, {"kind": "gaussian"}, {"bounds": [1.0, 1e201], "count": 3}, "gaussian sigma")
+          for command in ("sweep", "optimum")),
+    ])
+    def test_scale_that_overflows_the_sampler_exits_2(self, capsys, config_path, tmp_path,
+                                                      command, noise, sweep, where):
+        raw = dict(base_config(), noise=noise, sweep=dict(sweep, runs=1, trials=10))
+        argv = [command, "--config", config_path(raw)]
+        code, out, err = run_cli(capsys, argv + (["--out", str(tmp_path / "out")]
+                                                 if command == "sweep" else []))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith(f"config error: {where}") and "overflows a float" in err
 
     def test_negative_seed_flag(self, capsys, config_path):
         code, _, err = run_cli(capsys, ["weights", "--config", config_path(base_config()),

@@ -100,6 +100,39 @@ class TestValidation:
         with pytest.raises(ValueError, match="cdf_draws"):
             AlphaStable(1.5, cdf_draws=0)
 
+    def test_gaussian_scale_that_overflows_the_radius_is_refused(self):
+        # sigma**2 overflows at 1e200, -2 sigma**2 at 1e154, and the largest
+        # squared radius, -2 sigma**2 log(2**-53), past 1.56e153.
+        for sigma in (1e200, 1e154, 1.57e153):
+            with pytest.raises(ValueError, match="gaussian sigma"):
+                Gaussian(0.0, sigma)
+        with pytest.raises(ValueError, match="gaussian sigma"):
+            Gaussian(0.0, 1.0).with_scale(1e201)
+
+        class ExtremeRadius:  # the largest radius uniform, then a zero angle
+            def random(self, shape):
+                return np.array([[1.0 - 2.0**-53], [0.5]])
+
+        assert np.isfinite(Gaussian(-1e308, 1.56e153).sample(ExtremeRadius(), 2)).all()
+
+    def test_uniform_bounds_that_overflow_are_refused(self):
+        for mean, half_width in ((1e308, 1e308), (0.0, 1e308), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="uniform half_width"):
+                Uniform(mean, half_width)
+        draws = Uniform(1e308, 7e307).sample(np.random.default_rng(5), 1000)
+        assert np.isfinite(draws).all()
+
+    def test_stable_scale_that_overflows_the_map_is_refused(self):
+        # gamma**(1/alpha) overflows, and at alpha = 1 the skewed shift
+        # (2/pi)*beta*gamma*ln(gamma) does.
+        for model in (dict(alpha=0.5, gamma=1e300), dict(alpha=1.0, skew=0.5, gamma=1e306)):
+            with pytest.raises(ValueError, match="alpha_stable gamma"):
+                AlphaStable(**model)
+        with pytest.raises(ValueError, match="alpha_stable gamma"):
+            AlphaStable(0.5).with_scale(1e200)
+        assert AlphaStable(1.0, gamma=1e306).scale == 1e306  # no shift when symmetric
+        assert AlphaStable(0.5, gamma=1e150).scale == 1e150
+
 
 class TestCdf:
     @pytest.mark.parametrize("model,reference", [
