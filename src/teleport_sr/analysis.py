@@ -355,13 +355,14 @@ def find_optimal_noise(state: QubitState, config: ChannelConfig, noise_family: N
     Fidelity is monotone in P, so this equivalently maximizes that scalar.
     Raises :class:`MonotoneRegimeError` unless :func:`sr_predicted` holds:
     with the noise center inside the forbidden interval or on an endpoint, no
-    interior optimum exists.
+    interior optimum exists.  Bad bounds raise ValueError first, whatever
+    the regime.
     """
-    if not sr_predicted(config, noise_family):
-        raise MonotoneRegimeError(noise_family.center, forbidden_interval(config))
     if len(scale_bounds) != 2:
         raise ValueError(f"scale bounds (lo, hi) must hold 2 scales, got {len(scale_bounds)}")
     lo, hi = check_scales(scale_bounds, "scale bounds (lo, hi)")
+    if not sr_predicted(config, noise_family):
+        raise MonotoneRegimeError(noise_family.center, forbidden_interval(config))
     weights = pauli_weights(state)
 
     def objective(s: float) -> float:

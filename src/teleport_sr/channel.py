@@ -134,18 +134,19 @@ def transmit_bits(bits: np.ndarray, config: ChannelConfig, noise: NoiseModel,
                   rng: np.random.Generator) -> np.ndarray:
     """Vectorized transmission of a bool bit array, one noise draw in C order; bool detections.
 
-    Tests ``noise > threshold - amplitude`` for bit 1 and ``noise > threshold +
-    amplitude`` for bit 0: the event ``detect(noise + encode(bits))`` tests, up
+    Draws standard noise z and tests ``z > (threshold - amplitude - c)/m`` for
+    bit 1 and ``z > (threshold + amplitude - c)/m`` for bit 0, (m, c) =
+    ``noise.unit_map``: the event ``detect(noise + encode(bits))`` tests, up
     to rounding at the cut.  Other bit dtypes raise TypeError, before any draw.
     """
     bits = np.asarray(bits)
     if bits.dtype != bool:
         raise TypeError(f"bits must be bool, got dtype {bits.dtype}")
-    received = noise.sample(rng, bits.size).reshape(bits.shape)
-    # amplitude > 0, so noise past the bit-0 cut is past the bit-1 cut too.
-    out = received > config.threshold - config.amplitude
+    z = noise.standard.sample(rng, bits.size).reshape(bits.shape)
+    # amplitude > 0 and m > 0, so noise past the bit-0 cut is past the bit-1 cut too.
+    out = z > noise.to_standard(config.threshold - config.amplitude)
     out &= bits
-    out |= received > config.threshold + config.amplitude
+    out |= z > noise.to_standard(config.threshold + config.amplitude)
     return out
 
 

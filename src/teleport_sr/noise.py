@@ -14,18 +14,18 @@ for alpha == 1.  Under this convention alpha=2 is Gaussian with variance
 The sampler and the CDFs below agree with each other in this convention; the
 test suite checks both against independent references.
 
-A Gaussian variate is one value of a Box-Muller pair, and a stable variate
-the location-scale image of a standard (gamma = 1, location 0)
-Chambers-Mallows-Stuck draw; both come from half-angle tangents, transformed
-in place in chunks.  A stable draw of n values takes n angles, then n
-exponentials (none for symmetric alpha = 1, whose transform does not use
-them), and holds only its output and one fixed scratch of ``3 * _CHUNK``
+Every model is its standard shape (``model.standard``: center 0, scale 1)
+through one map ``model.unit_map`` = (m, c): a draw is c + m*z for a
+standard draw z, and ``model.cdf(x)`` the standard CDF at (x - c)/m.  A
+standard Gaussian variate is one value of a Box-Muller pair, and a standard
+stable one a Chambers-Mallows-Stuck draw, both from half-angle tangents,
+transformed in place in chunks.  A stable draw of n values takes n angles,
+then n exponentials (none for symmetric alpha = 1, whose transform does not
+use them), and holds only its output and one fixed scratch of ``3 * _CHUNK``
 values.  Stable families without a closed form get a table CDF: the
 transform maps the ``cdf_draws`` points of a rank-1 lattice (not random
 draws) to standard values, held in float32 (4 bytes per point) and sorted
-once per (alpha, skew, cdf_draws), and each model counts the entries whose
-image under its own location-scale map, taken in float64, is <= x.  No
-per-scale table is built.
+once per (alpha, skew, cdf_draws); a model counts the entries <= (x - c)/m.
 
 Every model is an immutable value.  Sampling takes an explicit
 ``numpy.random.Generator`` so independent workers can hold independent
@@ -64,9 +64,6 @@ _STANDARD_TABLE_LOCK = threading.Lock()
 
 _SQRT2 = math.sqrt(2.0)
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2
-# log1p(-u) at the largest u below 1 that Generator.random returns: the
-# most negative log a Box-Muller radius takes.
-_MIN_RADIUS_LOG = math.log1p(-(1.0 - 2.0**-53))
 
 # Draws per in-place pass of the stable transform, and pairs per pass of the
 # Gaussian one: bounds their scratch memory and keeps a sweep cell's 2 * 10^4
@@ -80,10 +77,11 @@ class NoiseModel(ABC):
     Each family is a frozen dataclass that names the field holding its
     center (``_center_field``: the mean, or the stable location) and the
     field holding the scale swept in noise-level studies (``_scale_field``).
-    Construction stores every field declared ``float`` as :func:`finite_real`
-    returns it (so ``0`` and ``0.0`` build equal, equally printed models),
-    checks that the scale is positive, runs the family's own checks and then
-    checks that every float the sampler derives from the parameters is finite.
+    Its ``sample`` and ``cdf`` work on the standard shape through the one
+    map ``unit_map``.  Construction stores every field declared ``float`` as
+    :func:`finite_real` returns it (so ``0`` and ``0.0`` build equal, equally
+    printed models), checks that the scale is positive, runs the family's
+    own checks and then checks the map: m finite and > 0, c finite.
     """
 
     kind: str
@@ -106,19 +104,41 @@ class NoiseModel(ABC):
             raise ValueError(f"{self.kind} {self._scale_field} must be > 0, got {self.scale}")
         self._check_shape()
         try:
-            finite = all(map(math.isfinite, self._sampling_map))
+            m, c = self.unit_map
         except OverflowError:  # float ** raises where * returns inf
-            finite = False
-        if not finite:
+            m, c = math.inf, 0.0
+        if not (0.0 < m < math.inf and math.isfinite(c)):
             where = f"{self.kind} {self._scale_field} {self.scale!r} at {self._center_field}"
-            raise ValueError(f"{where} {self.center!r} overflows a float in the sampler")
+            problem = "underflows to scale 0" if m == 0 else "overflows a float"
+            raise ValueError(f"{where} {self.center!r} {problem} in the map to the standard shape")
 
     def _check_shape(self) -> None:
-        """The family's own parameter checks, run before its sampling map is taken."""
+        """The family's own parameter checks, run before its map is taken."""
 
-    # The floats the sampler derives from the parameters, computed once per
-    # model: none where numpy's own sampler takes them as they are.
-    _sampling_map: tuple[float, ...] = ()
+    @cached_property
+    def unit_map(self) -> tuple[float, float]:
+        """(m, c): this model's draws are c + m*z for draws z of ``standard``."""
+        return self.scale, self.center
+
+    @cached_property
+    def standard(self) -> "NoiseModel":
+        """The same family at center 0 and scale 1, whose ``unit_map`` is (1.0, 0.0)."""
+        return replace(self, **{self._center_field: 0.0, self._scale_field: 1.0})
+
+    def to_standard(self, x: float) -> float:
+        """(x - c)/m: the standard value that this model maps to ``x``."""
+        m, c = self.unit_map
+        return (x - c) / m
+
+    def _from_standard(self, z: np.ndarray) -> np.ndarray:
+        """c + m*z, in place in ``z``.  Skips m = 1 and c = 0, so a standard
+        model keeps its draws' bits (a -0.0 too)."""
+        m, c = self.unit_map
+        if m != 1.0:
+            z *= m
+        if c:
+            z += c
+        return z
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -148,10 +168,10 @@ class Gaussian(NoiseModel):
     """Normal noise; ``sample`` is Box-Muller (Box & Muller 1958) without sin or cos.
 
     One draw gives ceil(n/2) radius uniforms u1, then as many angle uniforms
-    u2.  With r = sigma*sqrt(-2 log1p(-u1)) (0, not inf, at u1 = 0),
-    t = tan(theta/2) for theta/2 = pi*u2 - pi/2 and q = r/(1 + t^2), a pair
-    is r cos(theta) = 2q - r and r sin(theta) = 2qt.  The n values are all
-    cosines, then the sines, cut to n.
+    u2.  With r = sqrt(-2 log1p(-u1)) (0, not inf, at u1 = 0), t =
+    tan(theta/2) for theta/2 = pi*u2 - pi/2 and q = r/(1 + t^2), a standard
+    pair is r cos(theta) = 2q - r and r sin(theta) = 2qt.  The n values z
+    are all cosines, then the sines, cut to n, each then mean + sigma*z.
     """
 
     mean: float = 0.0
@@ -160,30 +180,22 @@ class Gaussian(NoiseModel):
     kind = "gaussian"
     _scale_field = "sigma"
 
-    @cached_property
-    def _sampling_map(self):
-        radius_factor = -2.0 * self.sigma**2
-        return radius_factor, radius_factor * _MIN_RADIUS_LOG  # the largest squared radius
-
     def sample(self, rng, size):
-        radius_factor, _ = self._sampling_map
         pairs = rng.random((2, (size + 1) // 2))
         scratch = np.empty(min(pairs.shape[1], _CHUNK))
         for lo in range(0, pairs.shape[1], _CHUNK):  # in place, _CHUNK pairs at a time
             r, t = pairs[:, lo:lo + _CHUNK]
             q = scratch[: r.size]
             np.log1p(np.negative(r, out=r), out=r)
-            np.sqrt(np.multiply(r, radius_factor, out=r), out=r)
+            np.sqrt(np.multiply(r, -2.0, out=r), out=r)
             np.tan(np.subtract(np.multiply(t, math.pi, out=t), math.pi / 2, out=t), out=t)
             np.multiply(np.divide(r, np.add(np.square(t, out=q), 1.0, out=q), out=q), 2.0, out=q)
             np.subtract(q, r, out=r)
             t *= q
-        if self.mean:  # skipped at 0, where it would only turn -0.0 into 0.0
-            pairs += self.mean
-        return pairs.reshape(-1)[:size]
+        return self._from_standard(pairs.reshape(-1)[:size])
 
     def cdf(self, x):
-        return 0.5 * (1.0 + math.erf((x - self.mean) / (self.sigma * _SQRT2)))
+        return 0.5 * (1.0 + math.erf(self.to_standard(x) / _SQRT2))
 
 
 @dataclass(frozen=True)
@@ -196,18 +208,11 @@ class Uniform(NoiseModel):
     kind = "uniform"
     _scale_field = "half_width"
 
-    @cached_property
-    def _sampling_map(self):
-        low, high = self.mean - self.half_width, self.mean + self.half_width
-        return low, high, high - low  # numpy refuses an infinite high - low
-
     def sample(self, rng, size):
-        low, high, _ = self._sampling_map
-        return rng.uniform(low, high, size)
+        return self._from_standard(rng.uniform(-1.0, 1.0, size))
 
     def cdf(self, x):
-        t = (x - self.mean + self.half_width) / (2.0 * self.half_width)
-        return min(max(t, 0.0), 1.0)
+        return min(max((self.to_standard(x) + 1.0) / 2.0, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -219,13 +224,11 @@ class Laplace(NoiseModel):
     _scale_field = "diversity"
 
     def sample(self, rng, size):
-        return rng.laplace(self.mean, self.diversity, size)
+        return self._from_standard(rng.laplace(0.0, 1.0, size))
 
     def cdf(self, x):
-        z = (x - self.mean) / self.diversity
-        if z < 0:
-            return 0.5 * math.exp(z)
-        return 1.0 - 0.5 * math.exp(-z)
+        z = self.to_standard(x)
+        return 0.5 * math.exp(z) if z < 0 else 1.0 - 0.5 * math.exp(-z)
 
 
 @dataclass(frozen=True)
@@ -237,11 +240,13 @@ class AlphaStable(NoiseModel):
     ``cdf_draws`` sizes the table CDF used when no closed form exists
     (alpha=2 and symmetric alpha=1 have closed forms): one sorted float32
     table of the standard values at that many lattice points per (alpha,
-    skew), shared by every scale, whose entries each model counts through
-    its own location-scale map, taken in float64.  The default 2^17 points
-    put the CDF within 1.6e-4 of ``scipy.stats.levy_stable`` on the tested
-    families, and within 2/N of the same lattice held in float64.
-    ``sample`` applies the same map in place to its standard draws.
+    skew), shared by every scale, whose entries each model counts up to
+    (x - c)/m, compared in float64.  The default 2^17 points put the CDF
+    within 1.6e-4 of ``scipy.stats.levy_stable`` on the tested families,
+    and within 2/N of the same lattice held in float64.
+
+    The map is m = gamma^(1/alpha), c = location, except at alpha = 1, where
+    m = gamma and c = location + (2/pi)*beta*gamma*ln(gamma), beta = -skew.
     """
 
     alpha: float
@@ -269,42 +274,24 @@ class AlphaStable(NoiseModel):
     def _is_cauchy_form(self) -> bool:
         return abs(self.alpha - 1.0) < _ALPHA_ONE_EPS and self.skew == 0.0
 
-    def sample(self, rng, size):
-        z = _standard_stable(self.alpha, self.skew, rng, size)
-        return self._rescale(z, out=z)
-
-    def _rescale(self, z, out=None):
-        """Map standard (gamma = 1, location 0) draws ``z`` onto this model.
-
-        With ``out`` (an array, which may be ``z``) the map runs in place
-        there; else it returns a new value, so ``cdf`` can bisect a
-        read-only table through it.  Positive affine, so non-decreasing
-        even in floats.
-        """
-        multiplier, shift = self._sampling_map
-        y = z * multiplier if out is None else np.multiply(z, multiplier, out=out)
-        if shift:  # as the location below
-            y += shift
-        if self.location:  # as in Gaussian.sample
-            y += self.location
-        return y
-
     @cached_property
-    def _sampling_map(self):
-        """The multiplier and shift of the location-scale map; the shift is 0 off alpha = 1."""
+    def unit_map(self):
         if abs(self.alpha - 1.0) < _ALPHA_ONE_EPS:
-            beta = -self.skew
-            return self.gamma, (2 / math.pi) * beta * self.gamma * math.log(self.gamma)
-        return self.gamma ** (1.0 / self.alpha), 0.0
+            shift = (2 / math.pi) * -self.skew * self.gamma * math.log(self.gamma)  # beta = -skew
+            return self.gamma, self.location + shift
+        return self.gamma ** (1.0 / self.alpha), self.location
+
+    def sample(self, rng, size):
+        return self._from_standard(_standard_stable(self.alpha, self.skew, rng, size))
 
     def cdf(self, x):
-        if self._is_gaussian_form:
-            return 0.5 * (1.0 + math.erf((x - self.location) / (2.0 * math.sqrt(self.gamma))))
+        z = self.to_standard(x)
+        if self._is_gaussian_form:  # variance 2 at gamma = 1
+            return 0.5 * (1.0 + math.erf(z / 2.0))
         if self._is_cauchy_form:
-            return 0.5 + math.atan((x - self.location) / self.gamma) / math.pi
-        standard = _empirical_cdf_table(self)  # float32; each image is taken in float64
-        count = bisect.bisect_right(standard, x, key=lambda z: self._rescale(float(z)))
-        return count / standard.size
+            return 0.5 + math.atan(z) / math.pi
+        table = _empirical_cdf_table(self)  # float32: key=float keeps z from being cast to it
+        return bisect.bisect_right(table, z, key=float) / table.size
 
     @property
     def theorem(self):
@@ -316,9 +303,8 @@ class AlphaStable(NoiseModel):
 
     @property
     def center_drift(self):
-        """The sign of ``skew`` at alpha = 1, where the shift
-        (2/pi)*beta*gamma*ln(gamma), beta = -skew, divided by gamma diverges
-        toward it as gamma -> 0; 0 for every other shape (a pure scale map)."""
+        """The sign of ``skew`` at alpha = 1, where the map's shift over its
+        scale diverges toward it as gamma -> 0; 0 for every other shape."""
         if abs(self.alpha - 1.0) < _ALPHA_ONE_EPS and self.skew:
             return 1 if self.skew > 0 else -1
         return 0
@@ -450,8 +436,8 @@ def _standard_table(alpha: float, skew: float, draws: int) -> np.ndarray:
 def _empirical_cdf_table(model: AlphaStable) -> np.ndarray:
     """The shared sorted float32 standard lattice table behind ``model.cdf`` (not a copy).
 
-    ``model.cdf`` counts its entries through ``model._rescale``, so no scaled
-    table is built.  The per-model cache stays because ``bench/child.py``
+    ``model.cdf`` counts its entries up to ``model.to_standard(x)``, so no
+    scaled table is built.  The per-model cache stays because ``bench/child.py``
     counts table lookups by its ``cache_info()``; it also spares the lock on repeats.
     """
     with _STANDARD_TABLE_LOCK:

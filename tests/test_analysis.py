@@ -521,8 +521,12 @@ class TestFindOptimalNoise:
             find_optimal_noise(PLUS, REF_CHANNEL, Gaussian(center, 1.0), PERFECT, (0.01, 3.0))
 
     def test_bounds_validation(self):
-        with pytest.raises(ValueError, match="bounds"):
-            find_optimal_noise(PLUS, REF_CHANNEL, Gaussian(0.0, 1.0), PERFECT, (0.0, 3.0))
+        # The arguments are checked before the regime: a center inside the
+        # forbidden interval (mean 1.0) gets the same ValueError.
+        for mean in (0.0, 1.0):
+            for bounds in ((0.0, 3.0), (0.5,), ("a", "b"), (2.0, 1.0)):
+                with pytest.raises(ValueError, match="bounds"):
+                    find_optimal_noise(PLUS, REF_CHANNEL, Gaussian(mean, 1.0), PERFECT, bounds)
 
 
 class TestTheoremLimit:

@@ -80,8 +80,9 @@ CONFIGS = st.fixed_dictionaries({
 })
 
 
-# Noise whose sampling map overflows a float, one per family that computes
-# one, and the start of the error that refuses it.
+# Noise at scales near a float's limit, and the start of the error that
+# refuses it where its map to the standard shape overflows: only the stable
+# map can, so Gaussian and uniform noise answer.
 OVERFLOWING = [
     ({"kind": "gaussian", "sigma": 1e200}, "gaussian sigma 1e+200"),
     ({"kind": "uniform", "mean": 1e308, "half_width": 1e308}, "uniform half_width 1e+308"),
@@ -807,12 +808,58 @@ class TestTopLevelErrors:
     ])
     def test_scale_that_overflows_the_sampler_exits_2(self, capsys, config_path, tmp_path,
                                                       command, noise, sweep, where):
+        # Only a stable map that overflows a float still exits 2.  Gaussian
+        # and uniform noise at these scales answer with their limits: the
+        # trial path compares standard draws with standardized cuts, and
+        # never multiplies a draw by the scale.
         raw = dict(base_config(), noise=noise, sweep=dict(sweep, runs=1, trials=10))
         argv = [command, "--config", config_path(raw)]
         code, out, err = run_cli(capsys, argv + (["--out", str(tmp_path / "out")]
                                                  if command == "sweep" else []))
-        assert (code, out) == (EXIT_CONFIG, "")
-        assert err.startswith(f"config error: {where}") and "overflows a float" in err
+        if noise["kind"] == "alpha_stable":
+            assert (code, out) == (EXIT_CONFIG, "")
+            assert err.startswith(f"config error: {where}") and "overflows a float" in err
+            return
+        assert (code, err) == (EXIT_OK, "")
+        # A uniform model centered at 1e308 and every Gaussian at sigma >= 1e200
+        # leave the detections independent of the bit: P = 0, fidelity 1/2.
+        flat = noise["kind"] == "uniform" or "bounds" in sweep
+        if command == "probs":
+            p = json.loads(out)
+            assert p["p00"] == p["p01"] == (0.0 if noise["kind"] == "uniform" else 0.5)
+        elif command == "simulate":
+            assert json.loads(out)["analytic_fidelity"] == 0.5
+        elif command == "sweep":
+            rows = json.loads((tmp_path / "out" / "sweep.json").read_text())["rows"]
+            assert (max(row["analytic_f"] for row in rows) == 0.5) == flat
+        else:
+            _, reference, _ = run_cli(capsys, ["optimum", "--config",
+                                               config_path(base_config(), "reference.json")])
+            want = 0.5 if noise["kind"] == "uniform" else json.loads(reference)["fidelity_opt"]
+            assert json.loads(out)["fidelity_opt"] == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("command, noise, want", [
+        # The map's scale gamma**2 = 1e300 is finite; the trial path never
+        # multiplies a draw by it, so none of the 4 * 10^4 draws overflows.
+        ("simulate", {"alpha": 0.5, "gamma": 1e150}, EXIT_OK),
+        # The cuts standardize to ~1e213, past float32: compared in float64,
+        # every table value lies below them.
+        ("probs", {"alpha": 1.5, "skew": 0.5, "gamma": 1e-320}, EXIT_OK),
+        # gamma**2 underflows to a zero scale.
+        ("probs", {"alpha": 0.5, "gamma": 1e-200}, EXIT_CONFIG),
+    ], ids=["huge-scale", "scale-past-float32", "scale-underflows"])
+    def test_stable_map_at_the_float_edges(self, capsys, config_path, command, noise, want):
+        raw = base_config()
+        raw.update(noise=dict(noise, kind="alpha_stable"), sweep={"trials": 20_000})
+        code, out, err = run_cli(capsys, [command, "--config", config_path(raw)])
+        assert code == want
+        if want == EXIT_CONFIG:
+            assert out == "" and err.startswith("config error: alpha_stable gamma")
+        elif command == "simulate":
+            assert err == "" and 0.0 <= json.loads(out)["fidelity_estimate"] <= 1.0
+        else:
+            p = json.loads(out)
+            assert err == "" and p["p00"] == p["p01"] == 1.0
 
     def test_negative_seed_flag(self, capsys, config_path):
         code, _, err = run_cli(capsys, ["weights", "--config", config_path(base_config()),

@@ -57,8 +57,8 @@ def ks_statistic(samples, reference) -> float:
     """Kolmogorov-Smirnov distance between ``samples`` and ``reference``.
 
     A noise model's CDF takes one point at a time, except an empirical-table
-    stable model's: that is its table's empirical CDF through the model's
-    location-scale map (in float64, as ``cdf`` takes it), evaluated on the
+    stable model's: that is its table's empirical CDF at the standardized
+    points (x - c)/m (in float64, as ``cdf`` takes them), evaluated on the
     whole sorted sample once it matches ``cdf`` bit for bit on 1,000 of the
     points.  A scipy distribution's CDF is evaluated once, on the whole
     sorted sample.
@@ -67,8 +67,8 @@ def ks_statistic(samples, reference) -> float:
     n = x.size
     if isinstance(reference, noise.NoiseModel) and not reference.has_exact_cdf:
         table = noise._empirical_cdf_table(reference)
-        images = reference._rescale(table.astype(np.float64))
-        values = np.searchsorted(images, x, side="right") / table.size
+        m, c = reference.unit_map
+        values = np.searchsorted(table.astype(np.float64), (x - c) / m, side="right") / table.size
         picks = slice(None, None, max(1, n // 1000))
         assert [reference.cdf(v) for v in x[picks]] == values[picks].tolist()
     elif isinstance(reference, noise.NoiseModel):
@@ -101,13 +101,14 @@ class TestValidation:
             AlphaStable(1.5, cdf_draws=0)
 
     def test_gaussian_scale_that_overflows_the_radius_is_refused(self):
-        # sigma**2 overflows at 1e200, -2 sigma**2 at 1e154, and the largest
-        # squared radius, -2 sigma**2 log(2**-53), past 1.56e153.
+        # Any finite sigma > 0 is a model: the map is (sigma, mean) and the
+        # standard radius carries no sigma, so sigma**2 (past 1e154) and the
+        # largest squared radius (past 1.56e153) are never formed.
         for sigma in (1e200, 1e154, 1.57e153):
-            with pytest.raises(ValueError, match="gaussian sigma"):
-                Gaussian(0.0, sigma)
-        with pytest.raises(ValueError, match="gaussian sigma"):
-            Gaussian(0.0, 1.0).with_scale(1e201)
+            model = Gaussian(0.0, sigma)
+            assert model.unit_map == (sigma, 0.0)
+            assert model.cdf(2.7) == 0.5
+        assert Gaussian(0.0, 1.0).with_scale(1e201).scale == 1e201
 
         class ExtremeRadius:  # the largest radius uniform, then a zero angle
             def random(self, shape):
@@ -116,9 +117,10 @@ class TestValidation:
         assert np.isfinite(Gaussian(-1e308, 1.56e153).sample(ExtremeRadius(), 2)).all()
 
     def test_uniform_bounds_that_overflow_are_refused(self):
-        for mean, half_width in ((1e308, 1e308), (0.0, 1e308), (-1e308, 1e308)):
-            with pytest.raises(ValueError, match="uniform half_width"):
-                Uniform(mean, half_width)
+        # Bounds mean +- half_width past a float are never formed: the CDF
+        # answers with the model wholly above x, around it, or below it.
+        for mean, below in ((1e308, 0.0), (0.0, 0.5), (-1e308, 1.0)):
+            assert Uniform(mean, 1e308).cdf(2.7) == below
         draws = Uniform(1e308, 7e307).sample(np.random.default_rng(5), 1000)
         assert np.isfinite(draws).all()
 
@@ -221,16 +223,18 @@ class TestCdf:
     ], ids=["alpha1.5-gamma0.4", "alpha1.5-gamma2.5", "alpha1-gamma0.6", "alpha1-gamma1.7",
             "alpha1-gamma1e-4"])
     def test_table_is_the_sorted_sample_of_the_model(self, model):
-        # cdf counts the shared float32 standard table through the model's
-        # map, taken in float64; it must equal the empirical CDF of the
-        # model's images of the float32 lattice values, bit for bit, at
-        # every point and on both sides of it.
-        standard = lattice_values(model.alpha, model.skew, model.cdf_draws, np.float32)
-        expected = np.sort(model._rescale(standard.astype(np.float64)))
-        points = np.concatenate([expected, np.nextafter(expected, -np.inf),
-                                 np.nextafter(expected, np.inf)])
-        want = np.searchsorted(expected, points, side="right") / expected.size
-        assert [model.cdf(x) for x in points] == want.tolist()
+        # cdf(x) is the count of the sorted float32 lattice values <= (x - c)/m,
+        # compared in float64, bit for bit, at every value's image under the
+        # map and on both sides of it.  The points are Python floats, as the
+        # channel's cuts are: NumPy compares those with a float32 in float32.
+        m, c = model.unit_map
+        standard = np.sort(lattice_values(model.alpha, model.skew, model.cdf_draws,
+                                          np.float32).astype(np.float64))
+        images = c + m * standard
+        points = np.concatenate([images, np.nextafter(images, -np.inf),
+                                 np.nextafter(images, np.inf)])
+        want = np.searchsorted(standard, (points - c) / m, side="right") / standard.size
+        assert [model.cdf(x) for x in points.tolist()] == want.tolist()
 
     @pytest.mark.parametrize("alpha,skew", TABLE_FAMILIES)
     def test_default_table_matches_levy_stable(self, alpha, skew):
@@ -471,16 +475,24 @@ class TestSampler:
             want.standard_exponential(n)
         assert rng.random() == want.random()
 
-    @pytest.mark.parametrize("alpha,skew,gamma,location",
-                             [(1.5, 0.5, 0.7, 0.3), (1.0, 0.3, 0.7, -0.2)])
-    def test_sample_is_the_rescaled_standard_draw(self, alpha, skew, gamma, location):
-        # sample maps its draws in place; the bits are those of the
-        # location-scale map applied to a fresh standard draw.
-        model = AlphaStable(alpha, skew, gamma, location)
+    @pytest.mark.parametrize("model", [
+        Gaussian(0.7, 1.42),
+        Uniform(-0.3, 1.7),
+        Laplace(0.2, 0.8),
+        AlphaStable(1.5, 0.5, 0.7, 0.3),
+        AlphaStable(1.0, 0.3, 0.7, -0.2),
+    ])
+    def test_sample_is_the_standard_draw_through_the_map(self, model):
+        # One map (m, c) per model: its draws are c + m*z for the standard
+        # draws z, bit for bit, and its CDF is the standard CDF at (x - c)/m.
+        m, c = model.unit_map
+        assert (m, c) != (1.0, 0.0)
+        assert model.standard.unit_map == (1.0, 0.0)
         n = noise._CHUNK + 1
-        standard = noise._standard_stable(alpha, skew, np.random.default_rng(112), n)
-        np.testing.assert_array_equal(model.sample(np.random.default_rng(112), n),
-                                      model._rescale(standard))
+        z = model.standard.sample(np.random.default_rng(112), n)
+        np.testing.assert_array_equal(model.sample(np.random.default_rng(112), n), c + m * z)
+        for x in (-1.3, 0.0, 0.45, 2.7):
+            assert model.cdf(x) == model.standard.cdf((x - c) / m)
 
     def test_replay_and_shapes(self):
         # sample(rng, n) is n float64 draws in a 1-D array, replayed by an equal seed.
