@@ -266,8 +266,12 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
     only the Monte Carlo runs on the ``workers`` threads.  Each of the
     ``runs`` independent estimates at a scale uses ``trials_per_run`` trials
     on its own derived stream; output is identical for any ``workers`` value.
+    A grid whose largest scale squared overflows a float is refused before
+    any cell runs: its ``scale_squared`` column could not be written.
     """
     scales = check_scales(scales, "scales")
+    if math.isinf(scales[-1] * scales[-1]):
+        raise ValueError(f"scales reach {scales[-1]!r}, whose scale_squared overflows a float")
     integer_at_least(runs, "runs", 1)
     if integer_at_least(smoothing_window, "smoothing window", 1) % 2 == 0:
         raise ValueError(f"smoothing window must be odd, got {smoothing_window}")

@@ -3,9 +3,7 @@
 Every command is a pure function of the config file and the seed, so reruns
 produce byte-identical output.  Commands:
 
-    weights         Pauli weights of the configured state
-    check-interval  forbidden interval and noise-benefit prediction
-    probs           conditional detection probabilities
+    probs           closed form: detection, weights, interval, analytic fidelity
     simulate        Monte Carlo fidelity estimate
     sweep           fidelity vs noise scale; writes CSV + JSON (+ SVG)
     optimum         best noise scale (a 16-point scan, refined by golden section)
@@ -55,6 +53,7 @@ from .analysis import (
     MonotoneRegimeError,
     SweepResult,
     analytic_at,
+    analytic_fidelity,
     check_scales,
     default_scale_grid,
     estimate_fidelity,
@@ -262,28 +261,21 @@ def _emit(mapping: dict, fmt: str) -> None:
 
 # --- command handlers: each returns the mapping that ``main`` prints -------
 
-def cmd_weights(cfg: RunConfig, args) -> dict:
-    w = pauli_weights(cfg.state)
-    return {"qx": w.qx, "qz": w.qz, "qxz": w.qxz}
-
-
-def cmd_check_interval(cfg: RunConfig, args) -> dict:
+def cmd_probs(cfg: RunConfig, args) -> dict:
+    stats = detection_probabilities(cfg.channel, cfg.noise)
+    exact = cfg.noise.has_exact_cdf
+    weights = pauli_weights(cfg.state)
     interval = forbidden_interval(cfg.channel)
     return {
+        "p00": stats.p00, "p01": stats.p01, "p10": stats.p10, "p11": stats.p11,
+        "P": stats.P, "cdf_exact": exact, "cdf_draws": None if exact else cfg.noise.cdf_draws,
+        "qx": weights.qx, "qz": weights.qz, "qxz": weights.qxz,
         "interval": [interval.lo, interval.hi],
         "center": cfg.noise.center,
         "regime": center_regime(cfg.channel, cfg.noise),
         "sr_predicted": sr_predicted(cfg.channel, cfg.noise),
         "theorem": cfg.noise.theorem,
-    }
-
-
-def cmd_probs(cfg: RunConfig, args) -> dict:
-    stats = detection_probabilities(cfg.channel, cfg.noise)
-    exact = cfg.noise.has_exact_cdf
-    return {
-        "p00": stats.p00, "p01": stats.p01, "p10": stats.p10, "p11": stats.p11,
-        "P": stats.P, "cdf_exact": exact, "cdf_draws": None if exact else cfg.noise.cdf_draws,
+        "analytic_fidelity": analytic_fidelity(weights, stats.P, cfg.resource),
     }
 
 
@@ -442,8 +434,6 @@ def render_sweep_svg(result: SweepResult, digest: str) -> str:
 # --- argument parsing ------------------------------------------------------
 
 _COMMANDS = {
-    "weights": cmd_weights,
-    "check-interval": cmd_check_interval,
     "probs": cmd_probs,
     "simulate": cmd_simulate,
     "sweep": cmd_sweep,

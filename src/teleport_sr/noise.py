@@ -132,12 +132,16 @@ class NoiseModel(ABC):
 
     def _from_standard(self, z: np.ndarray) -> np.ndarray:
         """c + m*z, in place in ``z``.  Skips m = 1 and c = 0, so a standard
-        model keeps its draws' bits (a -0.0 too)."""
+        model keeps its draws' bits (a -0.0 too).  A draw past a float's
+        range is +-inf, as IEEE rounding gives, without a warning."""
         m, c = self.unit_map
-        if m != 1.0:
-            z *= m
-        if c:
-            z += c
+        if m == 1.0 and not c:
+            return z
+        with np.errstate(over="ignore"):
+            if m != 1.0:
+                z *= m
+            if c:
+                z += c
         return z
 
     @abstractmethod

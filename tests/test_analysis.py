@@ -349,6 +349,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="odd"):
             self.small(smoothing_window=4)
 
+    def test_grid_whose_square_overflows_is_refused(self, monkeypatch):
+        # s * s is inf past ~1.34e154 (s ** 2 raises OverflowError instead),
+        # and sweep.json would hold it as Infinity.  Refused before any cell runs.
+        monkeypatch.setattr(analysis, "estimate_fidelity", None)
+        with pytest.raises(ValueError, match="scale_squared"):
+            self.small(scales=(1.0, 1e155))
+        monkeypatch.undo()
+        result = self.small(scales=(1.0, 1e154), smoothing_window=1)
+        assert result.rows()[-1][:2] == (1e154, 1e154 * 1e154)
+
     def test_default_grid_shape(self):
         grid = default_scale_grid()
         assert len(grid) == 60

@@ -20,8 +20,14 @@ from hypothesis import given, strategies as st
 
 import teleport_sr
 from teleport_sr import cli
-from teleport_sr.analysis import MonotoneRegimeError
-from teleport_sr.channel import Interval
+from teleport_sr.analysis import MonotoneRegimeError, analytic_at
+from teleport_sr.channel import (
+    Interval,
+    center_regime,
+    detection_probabilities,
+    forbidden_interval,
+    sr_predicted,
+)
 from teleport_sr.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -33,6 +39,7 @@ from teleport_sr.cli import (
     parse_run_config,
 )
 from teleport_sr.noise import Gaussian
+from teleport_sr.qstate import pauli_weights
 
 
 def base_config():
@@ -214,8 +221,10 @@ class TestParseRunConfig:
 
 
 class TestWeightsCommand:
+    """The Pauli weights that ``probs`` prints."""
+
     def test_plus_preset(self, capsys, config_path):
-        code, out, _ = run_cli(capsys, ["weights", "--config", config_path(base_config())])
+        code, out, _ = run_cli(capsys, ["probs", "--config", config_path(base_config())])
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["qx"] == pytest.approx(1.0, abs=1e-12)
@@ -225,14 +234,15 @@ class TestWeightsCommand:
     def test_zero_preset_is_exact(self, capsys, config_path):
         raw = base_config()
         raw["state"] = "zero"
-        code, out, _ = run_cli(capsys, ["weights", "--config", config_path(raw)])
+        code, out, _ = run_cli(capsys, ["probs", "--config", config_path(raw)])
         assert code == EXIT_OK
-        assert json.loads(out) == {"qx": 0.0, "qz": 1.0, "qxz": 0.0}
+        weights = {key: json.loads(out)[key] for key in ("qx", "qz", "qxz")}
+        assert weights == {"qx": 0.0, "qz": 1.0, "qxz": 0.0}
 
     def test_real_amplitudes(self, capsys, config_path):
         raw = base_config()
         raw["state"] = {"alpha": 0.6, "beta": 0.8}
-        code, out, _ = run_cli(capsys, ["weights", "--config", config_path(raw)])
+        code, out, _ = run_cli(capsys, ["probs", "--config", config_path(raw)])
         payload = json.loads(out)
         assert payload["qx"] == pytest.approx(0.9216, abs=1e-12)
         assert payload["qz"] == pytest.approx(0.0784, abs=1e-12)
@@ -240,7 +250,7 @@ class TestWeightsCommand:
     def test_csv_format(self, capsys, config_path):
         raw = base_config()
         raw["state"] = "zero"
-        code, out, _ = run_cli(capsys, ["weights", "--format", "csv",
+        code, out, _ = run_cli(capsys, ["probs", "--format", "csv",
                                         "--config", config_path(raw)])
         assert code == EXIT_OK
         assert out.splitlines()[0] == "key,value"
@@ -249,14 +259,16 @@ class TestWeightsCommand:
     def test_invalid_config_exits_2_with_diagnostic(self, capsys, config_path):
         raw = base_config()
         raw["state"] = {"alpha": 0.6, "beta": 0.7}
-        code, _, err = run_cli(capsys, ["weights", "--config", config_path(raw)])
+        code, _, err = run_cli(capsys, ["probs", "--config", config_path(raw)])
         assert code == EXIT_CONFIG
         assert "not normalized" in err
 
 
 class TestCheckIntervalCommand:
+    """The forbidden interval and noise-benefit prediction that ``probs`` prints."""
+
     def test_center_outside(self, capsys, config_path):
-        code, out, _ = run_cli(capsys, ["check-interval", "--config", config_path(base_config())])
+        code, out, _ = run_cli(capsys, ["probs", "--config", config_path(base_config())])
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["interval"] == pytest.approx([0.5, 2.7])
@@ -266,13 +278,13 @@ class TestCheckIntervalCommand:
     def test_center_inside(self, capsys, config_path):
         raw = base_config()
         raw["noise"]["mean"] = 0.7
-        _, out, _ = run_cli(capsys, ["check-interval", "--config", config_path(raw)])
+        _, out, _ = run_cli(capsys, ["probs", "--config", config_path(raw)])
         assert json.loads(out)["sr_predicted"] is False
 
     def test_cauchy_on_upper_endpoint(self, capsys, config_path):
         raw = base_config()
         raw["noise"] = {"kind": "alpha_stable", "alpha": 1.0, "gamma": 1.0, "location": 2.7}
-        _, out, _ = run_cli(capsys, ["check-interval", "--config", config_path(raw)])
+        _, out, _ = run_cli(capsys, ["probs", "--config", config_path(raw)])
         payload = json.loads(out)
         assert payload["center"] == 2.7
         assert payload["regime"] == "endpoint"
@@ -285,13 +297,13 @@ class TestCheckIntervalCommand:
 ], ids=["gaussian", "uniform", "laplace", "cauchy"])
 @pytest.mark.parametrize("center", [0.5, 2.7], ids=["lo", "hi"])
 def test_endpoints_get_one_answer(capsys, config_path, noise, center_key, center):
-    # A center on an endpoint gets no noise benefit: check-interval predicts
+    # A center on an endpoint gets no noise benefit: probs predicts
     # none, optimum reports the monotone regime, and theorem-check expects
     # the limit 3/4 that its values reach.
     raw = base_config()
     raw["noise"] = {**noise, center_key: center}
     path = config_path(raw)
-    _, out, _ = run_cli(capsys, ["check-interval", "--config", path])
+    _, out, _ = run_cli(capsys, ["probs", "--config", path])
     interval = json.loads(out)
     assert (interval["regime"], interval["sr_predicted"]) == ("endpoint", False)
     code, out, _ = run_cli(capsys, ["optimum", "--config", path])
@@ -304,6 +316,30 @@ def test_endpoints_get_one_answer(capsys, config_path, noise, center_key, center
 
 
 class TestProbsCommand:
+    def test_reference_config_is_the_closed_form(self, capsys, config_path):
+        # The detection probabilities, then each of the other keys exactly as
+        # its library call gives it, in this order.
+        cfg = parse_run_config(base_config())
+        stats = detection_probabilities(cfg.channel, cfg.noise)
+        weights = pauli_weights(cfg.state)
+        interval = forbidden_interval(cfg.channel)
+        code, out, err = run_cli(capsys, ["probs", "--config", config_path(base_config())])
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out) == {
+            "p00": stats.p00, "p01": stats.p01, "p10": stats.p10, "p11": stats.p11,
+            "P": stats.P, "cdf_exact": True, "cdf_draws": None,
+            "qx": weights.qx, "qz": weights.qz, "qxz": weights.qxz,
+            "interval": [interval.lo, interval.hi],
+            "center": cfg.noise.center,
+            "regime": center_regime(cfg.channel, cfg.noise),
+            "sr_predicted": sr_predicted(cfg.channel, cfg.noise),
+            "theorem": cfg.noise.theorem,
+            "analytic_fidelity": analytic_at(weights, cfg.channel, cfg.noise, cfg.resource),
+        }
+        assert list(json.loads(out)) == [
+            "p00", "p01", "p10", "p11", "P", "cdf_exact", "cdf_draws", "qx", "qz", "qxz",
+            "interval", "center", "regime", "sr_predicted", "theorem", "analytic_fidelity"]
+
     def test_gaussian_point(self, capsys, config_path):
         code, out, _ = run_cli(capsys, ["probs", "--config", config_path(base_config())])
         assert code == EXIT_OK
@@ -343,6 +379,20 @@ class TestSimulateCommand:
 
 
 class TestSweepCommand:
+    def test_grid_whose_square_overflows_exits_2(self, capsys, config_path, tmp_path):
+        # (1e201)**2 is inf, which sweep.json would hold as Infinity: not JSON.
+        raw = dict(base_config(), noise={"kind": "alpha_stable", "alpha": 1.0},
+                   sweep={"bounds": [1.0, 1e201], "count": 3, "runs": 1, "trials": 10})
+        path = config_path(raw)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, ["sweep", "--config", path, "--out", str(out_dir)])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: scales reach 1e+201") and "scale_squared" in err
+        assert not out_dir.exists()
+        code, out, err = run_cli(capsys, ["optimum", "--config", path])
+        assert (code, err) == (EXIT_OK, "")
+        assert 1.0 <= json.loads(out)["scale_opt"] <= 1e201
+
     def test_writes_csv_json_svg(self, capsys, config_path, tmp_path):
         out_dir = tmp_path / "out"
         code, out, _ = run_cli(capsys, ["sweep", "--config", config_path(base_config()),
@@ -534,7 +584,7 @@ class TestOptimumCommand:
         raw["channel"] = {"amplitude": 2.0, "threshold": 1.6, "allow_suprathreshold": True}
         raw["noise"]["mean"] = mean
         path = config_path(raw)
-        got, out, err = run_cli(capsys, ["check-interval", "--config", path])
+        got, out, err = run_cli(capsys, ["probs", "--config", path])
         assert (got, err) == (EXIT_OK, "")
         assert json.loads(out)["sr_predicted"] is predicted
         got, out, err = run_cli(capsys, ["optimum", "--config", path])
@@ -573,7 +623,7 @@ class TestTheoremCheckCommand:
 
 
 class TestTheoremKey:
-    """Both interval commands name the theorem that covers the noise."""
+    """Both commands that report the interval name the theorem that covers the noise."""
 
     @pytest.mark.parametrize("noise,theorem", [
         ({"kind": "gaussian"}, "finite_variance"),
@@ -584,7 +634,7 @@ class TestTheoremKey:
         ({"kind": "alpha_stable", "alpha": 1.5, "skew": 0.5, "cdf_draws": 10_000},
          "infinite_variance_stable"),
     ], ids=["gaussian", "uniform", "laplace", "stable-2", "cauchy", "stable-1.5"])
-    @pytest.mark.parametrize("command", ["check-interval", "theorem-check"])
+    @pytest.mark.parametrize("command", ["probs", "theorem-check"])
     def test_theorem_follows_the_variance(self, capsys, config_path, command, noise, theorem):
         raw = base_config()
         raw["noise"] = noise
@@ -593,7 +643,7 @@ class TestTheoremKey:
         assert json.loads(out)["theorem"] == theorem
 
 
-@pytest.mark.parametrize("command", ["check-interval", "optimum", "theorem-check"])
+@pytest.mark.parametrize("command", ["probs", "optimum", "theorem-check"])
 def test_csv_rows_hold_the_json_values(capsys, config_path, command):
     # Lists and objects hold commas and quotes, so their CSV fields are quoted.
     path = config_path(base_config())
@@ -609,7 +659,7 @@ def test_csv_rows_hold_the_json_values(capsys, config_path, command):
         assert (text if isinstance(value, str) else json.loads(text)) == value
 
 
-PRINTING = ["weights", "check-interval", "probs", "simulate", "optimum", "theorem-check"]
+PRINTING = ["probs", "simulate", "optimum", "theorem-check"]
 
 
 class TestOptions:
@@ -714,7 +764,7 @@ class TestExitCodeTable:
         assert run_cli(capsys, ["probs", "--config", path, "--format", "csv"]) == (
             EXIT_OK, 'key,value\na,"[1,2]"\nb,x\n', "")
 
-    @pytest.mark.parametrize("command, fmt", [("weights", "json"), ("weights", "csv"),
+    @pytest.mark.parametrize("command, fmt", [("probs", "json"), ("probs", "csv"),
                                               ("sweep", None)])
     def test_broken_stdout_is_an_output_error(self, capsys, config_path, monkeypatch, tmp_path,
                                               command, fmt):
@@ -741,20 +791,20 @@ class TestExitCodeTable:
 
 class TestTopLevelErrors:
     def test_missing_config_file(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, ["weights", "--config", str(tmp_path / "absent.json")])
+        code, _, err = run_cli(capsys, ["probs", "--config", str(tmp_path / "absent.json")])
         assert code == EXIT_CONFIG
         assert "cannot read" in err
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        code, _, err = run_cli(capsys, ["weights", "--config", str(path)])
+        code, _, err = run_cli(capsys, ["probs", "--config", str(path)])
         assert code == EXIT_CONFIG
 
     def test_config_that_is_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe{}")
-        code, _, err = run_cli(capsys, ["weights", "--config", str(path)])
+        code, _, err = run_cli(capsys, ["probs", "--config", str(path)])
         assert code == EXIT_CONFIG
         assert "cannot read" in err
 
@@ -808,10 +858,11 @@ class TestTopLevelErrors:
     ])
     def test_scale_that_overflows_the_sampler_exits_2(self, capsys, config_path, tmp_path,
                                                       command, noise, sweep, where):
-        # Only a stable map that overflows a float still exits 2.  Gaussian
-        # and uniform noise at these scales answer with their limits: the
-        # trial path compares standard draws with standardized cuts, and
-        # never multiplies a draw by the scale.
+        # Only a stable map that overflows a float, and a sweep grid whose
+        # scale_squared column would, still exit 2.  Gaussian and uniform
+        # noise at these scales answer with their limits: the trial path
+        # compares standard draws with standardized cuts, and never
+        # multiplies a draw by the scale.
         raw = dict(base_config(), noise=noise, sweep=dict(sweep, runs=1, trials=10))
         argv = [command, "--config", config_path(raw)]
         code, out, err = run_cli(capsys, argv + (["--out", str(tmp_path / "out")]
@@ -820,10 +871,16 @@ class TestTopLevelErrors:
             assert (code, out) == (EXIT_CONFIG, "")
             assert err.startswith(f"config error: {where}") and "overflows a float" in err
             return
+        if command == "sweep" and "bounds" in sweep:
+            # 1e201 squared overflows: the sweep.json column would read Infinity.
+            assert (code, out) == (EXIT_CONFIG, "")
+            assert "scale_squared overflows a float" in err
+            assert not (tmp_path / "out").exists()
+            return
         assert (code, err) == (EXIT_OK, "")
         # A uniform model centered at 1e308 and every Gaussian at sigma >= 1e200
         # leave the detections independent of the bit: P = 0, fidelity 1/2.
-        flat = noise["kind"] == "uniform" or "bounds" in sweep
+        flat = noise["kind"] == "uniform"
         if command == "probs":
             p = json.loads(out)
             assert p["p00"] == p["p01"] == (0.0 if noise["kind"] == "uniform" else 0.5)
@@ -862,7 +919,7 @@ class TestTopLevelErrors:
             assert err == "" and p["p00"] == p["p01"] == 1.0
 
     def test_negative_seed_flag(self, capsys, config_path):
-        code, _, err = run_cli(capsys, ["weights", "--config", config_path(base_config()),
+        code, _, err = run_cli(capsys, ["probs", "--config", config_path(base_config()),
                                         "--seed", "-1"])
         assert code == EXIT_CONFIG
         assert "seed" in err
@@ -875,7 +932,7 @@ def test_module_entry_point(tmp_path):
     # finds it whether it was installed or put on the path by pytest.
     package_root = os.path.dirname(os.path.dirname(teleport_sr.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "teleport_sr", "weights", "--config", str(path)],
+        [sys.executable, "-m", "teleport_sr", "probs", "--config", str(path)],
         capture_output=True, text=True, cwd=package_root,
     )
     assert proc.returncode == 0

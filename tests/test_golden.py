@@ -4,8 +4,8 @@ Every config is the reference channel (amplitude 1.1, threshold 1.6) with the
 ``i-plus`` state, Werner weight 0.9 and seed 7; only the noise differs.  The
 test pins, byte for byte:
 
-- ``weights``, ``check-interval``, ``probs``, ``simulate`` and
-  ``theorem-check`` in json for all nine configs, and in csv for two;
+- ``probs``, ``simulate`` and ``theorem-check`` in json for all nine
+  configs, and in csv for two;
 - ``optimum`` for the six configs whose CDF has a closed form.  On a table
   CDF the optimum is the argmax over the table's steps, which a last-ulp
   change in numpy's float32 ``tan`` or ``pow`` can move.
@@ -50,7 +50,7 @@ NOISES = {
     "stable-2": {"kind": "alpha_stable", "alpha": 2.0, "gamma": 0.7, "location": -0.1},
 }
 TABLE_CDF = {"stable-1.5", "stable-1-skewed", "stable-0.5"}
-COMMANDS = ("weights", "check-interval", "probs", "simulate", "theorem-check")
+COMMANDS = ("probs", "simulate", "theorem-check")
 CSV_CONFIGS = ("gaussian", "stable-1.5")
 
 CASES = [

@@ -494,6 +494,19 @@ class TestSampler:
         for x in (-1.3, 0.0, 0.45, 2.7):
             assert model.cdf(x) == model.standard.cdf((x - c) / m)
 
+    @pytest.mark.parametrize("model", [
+        Uniform(1e308, 1e308), Gaussian(0.0, 1e308), Laplace(-1e308, 1e308),
+    ], ids=["uniform", "gaussian", "laplace"])
+    def test_draw_past_a_float_is_inf_without_a_warning(self, model):
+        # c + m*z rounds past the largest float to +-inf, as Python floats do.
+        m, c = model.unit_map
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model.sample(np.random.default_rng(4), 1000)
+        z = model.standard.sample(np.random.default_rng(4), 1000)
+        assert np.isinf(got).any()
+        assert got.tolist() == [c + m * float(v) for v in z]
+
     def test_replay_and_shapes(self):
         # sample(rng, n) is n float64 draws in a 1-D array, replayed by an equal seed.
         for model in (Gaussian(0.7, 1.42), Uniform(0.2, 1.5), Laplace(-0.4, 0.8),

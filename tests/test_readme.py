@@ -1,7 +1,8 @@
-"""README's command-line examples match the code.
+"""README's command-line examples, and ``cli``'s own command list, match the code.
 
-The example config parses as a run config, and the command block lists
-exactly the CLI's commands, in order, so neither can drift from ``cli``.
+The example config parses as a run config, and README's command block and
+the list in ``cli``'s module docstring name exactly the CLI's commands, in
+order, so none of them can drift from ``cli``.
 """
 
 import json
@@ -30,3 +31,8 @@ def test_command_block_lists_exactly_the_commands():
     lines = [line.split() for line in block.splitlines()]
     assert all(words[0] == "teleport-sr" for words in lines)
     assert [words[1] for words in lines] == list(cli._COMMANDS)
+
+
+def test_module_docstring_lists_exactly_the_commands():
+    listing = cli.__doc__.split("Commands:\n\n", 1)[1].split("\n\n", 1)[0]
+    assert [line.split()[0] for line in listing.splitlines()] == list(cli._COMMANDS)
