@@ -6,6 +6,9 @@ test pins, byte for byte:
 
 - ``probs``, ``simulate`` and ``theorem-check`` in json for all nine
   configs, and in csv for two;
+- in the same cases, the ``weights`` and ``check-interval`` sections of
+  ``probs``: the keys those two removed commands printed, which must still
+  print the bytes the commands did;
 - ``optimum`` for the six configs whose CDF has a closed form.  On a table
   CDF the optimum is the argmax over the table's steps, which a last-ulp
   change in numpy's float32 ``tan`` or ``pow`` can move.
@@ -51,11 +54,17 @@ NOISES = {
 }
 TABLE_CDF = {"stable-1.5", "stable-1-skewed", "stable-0.5"}
 COMMANDS = ("probs", "simulate", "theorem-check")
+# The keys of ``probs`` that the ``weights`` and ``check-interval`` commands
+# printed before ``probs`` took them over, pinned as those commands' stdout.
+SECTIONS = {
+    "weights": ("qx", "qz", "qxz"),
+    "check-interval": ("interval", "center", "regime", "sr_predicted", "theorem"),
+}
 CSV_CONFIGS = ("gaussian", "stable-1.5")
 
 CASES = [
-    *((command, name, "json") for name in NOISES for command in COMMANDS),
-    *((command, name, "csv") for name in CSV_CONFIGS for command in COMMANDS),
+    *((command, name, "json") for name in NOISES for command in (*SECTIONS, *COMMANDS)),
+    *((command, name, "csv") for name in CSV_CONFIGS for command in (*SECTIONS, *COMMANDS)),
     *(("optimum", name, "json") for name in NOISES if name not in TABLE_CDF),
 ]
 
@@ -64,14 +73,28 @@ def case_id(command, name, fmt):
     return f"{command} {name} {fmt}"
 
 
+def section(out: str, fmt: str, keys) -> str:
+    """The stdout ``out`` of ``probs`` cut down to ``keys``, in ``probs``'s order."""
+    if fmt == "json":
+        payload = json.loads(out)
+        return json.dumps({key: payload[key] for key in payload if key in keys},
+                          separators=(",", ":")) + "\n"
+    header, *rows = out.splitlines(keepends=True)
+    return header + "".join(row for row in rows if row.split(",", 1)[0] in keys)
+
+
 def run(command, name, fmt, directory: Path) -> str:
-    """The stdout of one command, which must exit 0 and print nothing to stderr."""
+    """The stdout of one command (or section), which must exit 0 and print
+    nothing to stderr."""
     path = directory / f"{name}.json"
     path.write_text(json.dumps(dict(BASE, noise=NOISES[name])))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([command, "--config", str(path), "--format", fmt])
+        code = main(["probs" if command in SECTIONS else command,
+                     "--config", str(path), "--format", fmt])
     assert (code, err.getvalue()) == (0, "")
+    if command in SECTIONS:
+        return section(out.getvalue(), fmt, SECTIONS[command])
     return out.getvalue()
 
 
