@@ -23,7 +23,6 @@ Memory per call is bounded by the block, not by the trial count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -277,6 +276,7 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
         raise ValueError(f"smoothing window must be odd, got {smoothing_window}")
     integer_at_least(workers, "workers", 1)
     integer_at_least(master_seed, "master_seed", 0)
+    from concurrent.futures import ThreadPoolExecutor  # deferred: only sweep needs a pool
 
     weights = pauli_weights(state)
     analytic = [analytic_at(weights, config, noise_family.with_scale(s), resource) for s in scales]

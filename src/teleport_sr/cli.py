@@ -27,6 +27,10 @@ interior optimum, the noise center inside the forbidden interval or on an
 endpoint; its mapping still goes to stdout).  The TELEPORT_SR_THREADS
 environment variable sets the sweep worker count (1 when unset); results do
 not depend on it.
+
+Only ``sweep`` loads the SHA-256 hasher, the SVG writer and the thread pool.
+``simulate`` and ``sweep`` load numpy's random module, which itself brings in
+OpenSSL through ``secrets``.
 """
 
 from __future__ import annotations
@@ -34,11 +38,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import json
 import os
 import sys
-import xml.etree.ElementTree as ET
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -236,6 +238,7 @@ def config_to_json(cfg: RunConfig) -> dict:
 
 
 def config_hash(cfg: RunConfig) -> str:
+    import hashlib  # deferred: only sweep hashes, and hashlib maps OpenSSL
     canonical = json.dumps(config_to_json(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -356,6 +359,7 @@ def render_sweep_svg(result: SweepResult, digest: str) -> str:
     (dotted), and horizontal references at the classical limit 2/3 and the
     protocol floor 1/2.  The config hash rides along as an XML comment.
     """
+    import xml.etree.ElementTree as ET  # deferred: only sweep draws an SVG
     width, height = 720, 480
     m_left, m_right, m_top, m_bottom = 72, 24, 24, 56
     xs = result.scales

@@ -686,10 +686,12 @@ class TestOptions:
             outputs.append([(out_dir / f).read_bytes() for f in ("sweep.csv", "sweep.json")])
         assert outputs[0] == outputs[1]
 
+    # Each case is named by its command and flag, so it keeps its name when
+    # another command comes or goes.
     @pytest.mark.parametrize("command,option", [
-        *((command, option) for command in PRINTING
+        *(pytest.param(command, option, id=command + option[0]) for command in PRINTING
           for option in (["--out", "x"], ["--svg"], ["--no-svg"])),
-        ("sweep", ["--format", "csv"]),
+        pytest.param("sweep", ["--format", "csv"], id="sweep--format"),
     ])
     def test_option_of_another_command_exits_2(self, capsys, config_path, tmp_path,
                                                command, option):
@@ -721,6 +723,57 @@ class TestOptions:
                               cwd=package_root)
         assert proc.returncode == 0
         assert proc.stdout == "0\n"
+
+
+# Runs each argv list through ``main`` in a fresh interpreter and prints the
+# exit codes and the modules loaded beyond what a bare interpreter holds.
+FOOTPRINT = """
+import sys
+bare = set(sys.modules)
+import contextlib, io, json
+from teleport_sr.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "loaded": sorted(set(sys.modules) - bare)}))
+"""
+
+# Modules that only the Monte Carlo commands need: OpenSSL's hasher, the SVG
+# writer, the thread pool and numpy's random module.
+MONTE_CARLO_ONLY = {"_hashlib", "xml.etree.ElementTree", "concurrent.futures", "numpy.random"}
+
+
+def footprint(runs) -> dict:
+    package_root = os.path.dirname(os.path.dirname(teleport_sr.__file__))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(runs)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": package_root})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestImportFootprint:
+    """The closed-form commands load nothing that only the sweep uses."""
+
+    def test_closed_form_commands_skip_the_sweep_only_modules(self, config_path):
+        stable = base_config()
+        stable["noise"] = {"kind": "alpha_stable", "alpha": 1.5, "skew": 0.5}
+        paths = [config_path(base_config(), "gaussian.json"), config_path(stable, "stable.json")]
+        runs = [[command, "--config", path, "--format", fmt]
+                for command in ("probs", "optimum", "theorem-check")
+                for path in paths for fmt in ("json", "csv")]
+        result = footprint(runs)
+        assert result["codes"] == [EXIT_OK] * len(runs)
+        assert MONTE_CARLO_ONLY.isdisjoint(result["loaded"])
+
+    def test_sweep_loads_the_pool_and_the_svg_writer(self, config_path, tmp_path):
+        raw = base_config()
+        raw["sweep"].update(runs=1, trials=10)
+        result = footprint([["sweep", "--config", config_path(raw),
+                             "--out", str(tmp_path / "out")]])
+        assert result["codes"] == [EXIT_OK]
+        assert {"concurrent.futures", "xml.etree.ElementTree"} <= set(result["loaded"])
 
 
 class TestExitCodeTable:
