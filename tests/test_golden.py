@@ -11,10 +11,15 @@ test pins, byte for byte:
   print the bytes the commands did;
 - ``optimum`` for the six configs whose CDF has a closed form.  On a table
   CDF the optimum is the argmax over the table's steps, which a last-ulp
-  change in numpy's float32 ``tan`` or ``pow`` can move.
+  change in numpy's float32 ``tan`` or ``pow`` can move;
+- the ``sweep.csv``, ``sweep.svg`` and ``sweep.json`` that ``sweep`` writes on
+  BASE's grid for three configs.  ``sweep.json`` records the numpy version:
+  the test checks it against the running numpy, then pins the file with a
+  placeholder in its place.  ``sweep``'s stdout names its temporary output
+  paths, so it is not pinned.
 
-The expected output is ``golden_stdout.json`` next to this file.  Regenerate
-it with
+The expected output is ``golden_stdout.json`` and ``golden_sweep.json`` next
+to this file.  Regenerate both with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -28,11 +33,13 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from teleport_sr.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_stdout.json")
+GOLDEN_SWEEP = Path(__file__).with_name("golden_sweep.json")
 
 BASE = {
     "state": "i-plus",
@@ -61,6 +68,9 @@ SECTIONS = {
     "check-interval": ("interval", "center", "regime", "sr_predicted", "theorem"),
 }
 CSV_CONFIGS = ("gaussian", "stable-1.5")
+SWEEP_CONFIGS = ("gaussian", "cauchy", "stable-1.5")
+SWEEP_FILES = ("sweep.csv", "sweep.svg", "sweep.json")
+NUMPY_VERSION = '"numpy_version": "<numpy>"'
 
 CASES = [
     *((command, name, "json") for name in NOISES for command in (*SECTIONS, *COMMANDS)),
@@ -83,19 +93,40 @@ def section(out: str, fmt: str, keys) -> str:
     return header + "".join(row for row in rows if row.split(",", 1)[0] in keys)
 
 
-def run(command, name, fmt, directory: Path) -> str:
-    """The stdout of one command (or section), which must exit 0 and print
-    nothing to stderr."""
-    path = directory / f"{name}.json"
-    path.write_text(json.dumps(dict(BASE, noise=NOISES[name])))
+def call(argv) -> str:
+    """The stdout of ``main(argv)``, which must exit 0 and print nothing to stderr."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["probs" if command in SECTIONS else command,
-                     "--config", str(path), "--format", fmt])
+        code = main(argv)
     assert (code, err.getvalue()) == (0, "")
-    if command in SECTIONS:
-        return section(out.getvalue(), fmt, SECTIONS[command])
     return out.getvalue()
+
+
+def write_config(name, directory: Path) -> str:
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(dict(BASE, noise=NOISES[name])))
+    return str(path)
+
+
+def run(command, name, fmt, directory: Path) -> str:
+    """The stdout of one command (or section)."""
+    out = call(["probs" if command in SECTIONS else command,
+                "--config", write_config(name, directory), "--format", fmt])
+    if command in SECTIONS:
+        return section(out, fmt, SECTIONS[command])
+    return out
+
+
+def run_sweep(name, directory: Path) -> dict:
+    """The text of each file ``sweep`` writes for one config, with the numpy
+    version in ``sweep.json`` checked and then replaced by ``NUMPY_VERSION``."""
+    out_dir = directory / f"{name}-sweep"
+    call(["sweep", "--config", write_config(name, directory), "--out", str(out_dir)])
+    files = {file: (out_dir / file).read_text(encoding="utf-8") for file in SWEEP_FILES}
+    recorded = f'"numpy_version": {json.dumps(np.__version__)}'
+    assert files["sweep.json"].count(recorded) == 1
+    files["sweep.json"] = files["sweep.json"].replace(recorded, NUMPY_VERSION)
+    return files
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +134,14 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-def test_golden_file_covers_every_case(golden):
+@pytest.fixture(scope="module")
+def golden_sweep():
+    return json.loads(GOLDEN_SWEEP.read_text())
+
+
+def test_golden_file_covers_every_case(golden, golden_sweep):
     assert sorted(golden) == sorted(case_id(*case) for case in CASES)
+    assert sorted(golden_sweep) == sorted(SWEEP_CONFIGS)
 
 
 @pytest.mark.parametrize("command, name, fmt", CASES, ids=[case_id(*c) for c in CASES])
@@ -112,11 +149,20 @@ def test_stdout_is_golden(golden, tmp_path, command, name, fmt):
     assert run(command, name, fmt, tmp_path) == golden[case_id(command, name, fmt)]
 
 
+@pytest.mark.parametrize("name", SWEEP_CONFIGS)
+def test_sweep_files_are_golden(golden_sweep, tmp_path, name):
+    files = run_sweep(name, tmp_path)
+    for file in SWEEP_FILES:
+        assert files[file] == golden_sweep[name][file], file
+
+
 def regenerate() -> None:
     with tempfile.TemporaryDirectory() as directory:
         outputs = {case_id(*case): run(*case, Path(directory)) for case in CASES}
-    GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(outputs)} outputs to {GOLDEN}")
+        sweeps = {name: run_sweep(name, Path(directory)) for name in SWEEP_CONFIGS}
+    for path, golden in ((GOLDEN, outputs), (GOLDEN_SWEEP, sweeps)):
+        path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(golden)} outputs to {path}")
 
 
 if __name__ == "__main__":
