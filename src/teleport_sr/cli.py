@@ -28,9 +28,9 @@ endpoint; its mapping still goes to stdout).  The TELEPORT_SR_THREADS
 environment variable sets the sweep worker count (1 when unset); results do
 not depend on it.
 
-Only ``sweep`` loads the SHA-256 hasher, the SVG writer and the thread pool.
-``simulate`` and ``sweep`` load numpy's random module, which itself brings in
-OpenSSL through ``secrets``.
+Only ``sweep`` loads the SHA-256 hasher and the thread pool, and no command
+loads an XML library.  ``simulate`` and ``sweep`` load numpy's random module,
+which itself brings in OpenSSL through ``secrets``.
 """
 
 from __future__ import annotations
@@ -353,17 +353,15 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def render_sweep_svg(result: SweepResult, digest: str) -> str:
-    """A self-contained line plot of the sweep: no plotting library involved.
+    """A self-contained line plot of the sweep, written as text: no plotting or XML library.
 
     Shows the smoothed Monte Carlo curve (thick), the per-scale min/max band
     (dotted), and horizontal references at the classical limit 2/3 and the
     protocol floor 1/2.  The config hash rides along as an XML comment.
     """
-    import xml.etree.ElementTree as ET  # deferred: only sweep draws an SVG
     width, height = 720, 480
     m_left, m_right, m_top, m_bottom = 72, 24, 24, 56
-    xs = result.scales
-    x_max = max(xs)
+    x_max = max(result.scales)
     y_lo = min(0.48, min(result.mc_min) - 0.01)
     y_hi = max(0.70, max(result.mc_max) + 0.01)
 
@@ -374,65 +372,52 @@ def render_sweep_svg(result: SweepResult, digest: str) -> str:
         return height - m_bottom - (height - m_top - m_bottom) * (y - y_lo) / (y_hi - y_lo)
 
     def points(values) -> str:
-        return " ".join(f"{px(x):.2f},{py(v):.2f}" for x, v in zip(xs, values))
+        return " ".join(f"{px(x):.2f},{py(v):.2f}" for x, v in zip(result.scales, values))
 
-    def attrs(**values) -> dict:
-        # Floats print to 2 decimals, ints as they are; keyword order is attribute order.
-        return {k.replace("_", "-"): f"{v:.2f}" if isinstance(v, float) else str(v)
-                for k, v in values.items()}
+    def tag(name: str, label: str | None = None, **attrs) -> str:
+        # Each value and label is a number formatted here, a fixed string or the hex digest, so
+        # nothing needs XML escaping.  Floats print to 2 decimals, ints as is, in keyword order.
+        attrs = {k: f"{v:.2f}" if isinstance(v, float) else v for k, v in attrs.items()}
+        head = name + "".join(f' {k.replace("_", "-")}="{v}"' for k, v in attrs.items())
+        return f"<{head} />" if label is None else f"<{head}>{label}</{name}>"
 
-    def line(parent, x1, y1, x2, y2, **style):
-        ET.SubElement(parent, "line", attrs(x1=x1, y1=y1, x2=x2, y2=y2, **style))
-
-    def text(parent, x, y, label, anchor, **style):
-        ET.SubElement(parent, "text", attrs(x=x, y=y, text_anchor=anchor, **style)).text = label
-
-    def polyline(values, stroke, width, **style):
-        ET.SubElement(svg, "polyline", attrs(points=points(values), fill="none", stroke=stroke,
-                                             stroke_width=width, **style))
-
-    svg = ET.Element("svg", {
-        "xmlns": "http://www.w3.org/2000/svg",
-        "width": str(width), "height": str(height),
-        "viewBox": f"0 0 {width} {height}",
-    })
-    svg.append(ET.Comment(f" config-sha256:{digest} "))
-    ET.SubElement(svg, "rect", {"x": "0", "y": "0", "width": str(width),
-                                "height": str(height), "fill": "white"})
-
-    axes = ET.SubElement(svg, "g", {"stroke": "black", "stroke-width": "1"})
-    line(axes, m_left, py(y_lo), width - m_right, py(y_lo))
-    line(axes, m_left, py(y_lo), m_left, m_top)
-
-    labels = ET.SubElement(svg, "g", {"font-family": "sans-serif", "font-size": "12",
-                                      "fill": "black"})
-    ticks = ET.SubElement(svg, "g", {"stroke": "black", "stroke-width": "1"})
+    axes = (tag("line", x1=m_left, y1=py(y_lo), x2=width - m_right, y2=py(y_lo))
+            + tag("line", x1=m_left, y1=py(y_lo), x2=m_left, y2=m_top))
+    labels, ticks = [], []
     for i in range(7):
         x = x_max * i / 6
-        line(ticks, px(x), py(y_lo), px(x), py(y_lo) + 5)
-        text(labels, px(x), py(y_lo) + 20, f"{x:.2f}", "middle")
+        ticks.append(tag("line", x1=px(x), y1=py(y_lo), x2=px(x), y2=py(y_lo) + 5))
+        labels.append(tag("text", f"{x:.2f}", x=px(x), y=py(y_lo) + 20, text_anchor="middle"))
     for i in range(6):
         y = y_lo + (y_hi - y_lo) * i / 5
-        line(ticks, m_left - 5, py(y), m_left, py(y))
-        text(labels, m_left - 9, py(y) + 4, f"{y:.3f}", "end")
-
-    text(labels, (m_left + width - m_right) / 2, height - 14, "noise scale", "middle")
+        ticks.append(tag("line", x1=m_left - 5, y1=py(y), x2=m_left, y2=py(y)))
+        labels.append(tag("text", f"{y:.3f}", x=m_left - 9, y=py(y) + 4, text_anchor="end"))
     y_mid = (m_top + height - m_bottom) / 2
-    text(labels, 18, y_mid, "teleportation fidelity", "middle",
-         transform=f"rotate(-90 18 {y_mid:.2f})")
+    labels += [tag("text", "noise scale", x=(m_left + width - m_right) / 2, y=height - 14,
+                   text_anchor="middle"),
+               tag("text", "teleportation fidelity", x=18, y=y_mid, text_anchor="middle",
+                   transform=f"rotate(-90 18 {y_mid:.2f})")]
 
+    parts = [
+        f"<!-- config-sha256:{digest} -->",
+        tag("rect", x=0, y=0, width=width, height=height, fill="white"),
+        tag("g", axes, stroke="black", stroke_width=1),
+        tag("g", "".join(labels), font_family="sans-serif", font_size=12, fill="black"),
+        tag("g", "".join(ticks), stroke="black", stroke_width=1),
+    ]
+    # y_lo <= 0.48 and y_hi >= 0.70, so both references always lie on the plot.
     for ref, name in ((2.0 / 3.0, "classical limit"), (0.5, "fidelity floor")):
-        if not y_lo <= ref <= y_hi:
-            continue
-        line(svg, m_left, py(ref), width - m_right, py(ref),
-             stroke="gray", stroke_width=1, stroke_dasharray="6,4")
-        text(svg, width - m_right - 4, py(ref) - 4, name, "end",
-             font_family="sans-serif", font_size=12, fill="gray")
-
-    for band in (result.mc_min, result.mc_max):
-        polyline(band, "steelblue", 1, stroke_dasharray="2,4")
-    polyline(result.mc_smoothed, "black", "2.5")
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(svg, encoding="unicode") + "\n"
+        parts += [tag("line", x1=m_left, y1=py(ref), x2=width - m_right, y2=py(ref),
+                      stroke="gray", stroke_width=1, stroke_dasharray="6,4"),
+                  tag("text", name, x=width - m_right - 4, y=py(ref) - 4, text_anchor="end",
+                      font_family="sans-serif", font_size=12, fill="gray")]
+    parts += [tag("polyline", points=points(band), fill="none", stroke="steelblue", stroke_width=1,
+                  stroke_dasharray="2,4") for band in (result.mc_min, result.mc_max)]
+    parts.append(tag("polyline", points=points(result.mc_smoothed), fill="none", stroke="black",
+                     stroke_width="2.5"))
+    svg = tag("svg", "".join(parts), xmlns="http://www.w3.org/2000/svg", width=width,
+              height=height, viewBox=f"0 0 {width} {height}")
+    return f'<?xml version="1.0" encoding="UTF-8"?>\n{svg}\n'
 
 
 # --- argument parsing ------------------------------------------------------

@@ -575,6 +575,19 @@ class TestOptimumCommand:
         assert (code, err) == (EXIT_MONOTONE, "")
         assert out == 'key,value\nregime,monotone\ncenter,0.7\ninterval,"[0.5,2.7]"\n'
 
+    @pytest.mark.parametrize("scales, bounds", [([0.7], [0.35, 0.7]),
+                                                ([0.5, 1.0, 2.0], [0.5, 2.0])],
+                             ids=["single-scale", "scale-list"])
+    def test_explicit_scales_set_the_searched_interval(self, capsys, config_path, scales,
+                                                       bounds):
+        # First to last scale, or [s/2, s] for a single scale s.
+        raw = base_config()
+        raw["sweep"]["scales"] = scales
+        assert parse_run_config(raw).bounds == tuple(bounds)
+        code, out, err = run_cli(capsys, ["optimum", "--config", config_path(raw)])
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["bounds"] == bounds
+
     @pytest.mark.parametrize("mean, code, predicted", [(0.0, EXIT_MONOTONE, False),
                                                        (5.0, EXIT_OK, True)])
     def test_suprathreshold_channel_gets_an_answer(self, capsys, config_path, mean, code,
@@ -739,8 +752,9 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps({"codes": codes, "loaded": sorted(set(sys.modules) - bare)}))
 """
 
-# Modules that only the Monte Carlo commands need: OpenSSL's hasher, the SVG
-# writer, the thread pool and numpy's random module.
+# Modules the closed-form commands must not load: OpenSSL's hasher, the thread
+# pool and numpy's random module, which only the Monte Carlo commands need, and
+# ElementTree, which no command loads any more: sweep writes its SVG as text.
 MONTE_CARLO_ONLY = {"_hashlib", "xml.etree.ElementTree", "concurrent.futures", "numpy.random"}
 
 
@@ -767,13 +781,14 @@ class TestImportFootprint:
         assert result["codes"] == [EXIT_OK] * len(runs)
         assert MONTE_CARLO_ONLY.isdisjoint(result["loaded"])
 
-    def test_sweep_loads_the_pool_and_the_svg_writer(self, config_path, tmp_path):
+    def test_sweep_loads_the_pool_and_the_hasher(self, config_path, tmp_path):
         raw = base_config()
         raw["sweep"].update(runs=1, trials=10)
         result = footprint([["sweep", "--config", config_path(raw),
                              "--out", str(tmp_path / "out")]])
         assert result["codes"] == [EXIT_OK]
-        assert {"concurrent.futures", "xml.etree.ElementTree"} <= set(result["loaded"])
+        assert {"concurrent.futures", "_hashlib"} <= set(result["loaded"])
+        assert "xml.etree.ElementTree" not in result["loaded"]
 
 
 class TestExitCodeTable:
