@@ -36,10 +36,10 @@ _ATOL = 1e-12
 class ChannelConfig:
     """Signal amplitude and detection threshold.
 
-    Both numbers must be finite and are stored as floats, and
-    ``allow_suprathreshold`` must be a boolean.  Construction enforces the
-    subthreshold regime 0 < amplitude < threshold unless
-    ``allow_suprathreshold`` is set.
+    Both numbers and threshold +- amplitude must be finite, the numbers are
+    stored as floats, and ``allow_suprathreshold`` must be a boolean.
+    Construction enforces the subthreshold regime 0 < amplitude <
+    threshold unless ``allow_suprathreshold`` is set.
     """
 
     amplitude: float
@@ -54,6 +54,9 @@ class ChannelConfig:
                              f"got {self.allow_suprathreshold!r}")
         if not self.amplitude > 0:
             raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
+        if not np.isfinite(forbidden_interval(self)).all():
+            raise ValueError(f"channel threshold {self.threshold!r} +- amplitude "
+                             f"{self.amplitude!r} overflows a float")
         if not self.subthreshold and not self.allow_suprathreshold:
             raise ValueError(
                 f"suprathreshold signal (amplitude {self.amplitude} >= threshold "

@@ -70,6 +70,9 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2
 # draws (both correction bits) in one pass.
 _CHUNK = 1 << 15
 
+# Table-build pass: its temporaries stay in cache, and the traced peak near the 4 B/point output.
+_TABLE_CHUNK = 1 << 13
+
 
 class NoiseModel(ABC):
     """Location-scale base of all noise families.
@@ -268,7 +271,9 @@ class AlphaStable(NoiseModel):
             raise ValueError(f"stable alpha must be in (0, 2], got {self.alpha}")
         if not -1 <= self.skew <= 1:
             raise ValueError(f"stable skew must be in [-1, 1], got {self.skew}")
-        integer_at_least(self.cdf_draws, "cdf_draws", 1)
+        n = integer_at_least(self.cdf_draws, "cdf_draws", 1)
+        if n >= 1 << 32 or (n - 1) * round(n / _GOLDEN) >= 1 << 63:  # the table's k*g in int64
+            raise ValueError(f"cdf_draws must be at most 3863124311, got {n}")
 
     @property
     def _is_gaussian_form(self) -> bool:
@@ -386,16 +391,16 @@ def _cms_standard_alpha_one(alpha, beta, u, w, b, c):
 def _standard_table(alpha: float, skew: float, draws: int) -> np.ndarray:
     """Sorted float32 standard values of one stable shape at the ``draws``
     points of a rank-1 lattice, built in the returned array (4 bytes per
-    point) and one fixed scratch of ``2 * _CHUNK`` float64 values.
+    point) ``_TABLE_CHUNK`` points at a time.
 
     With N = ``draws`` and generator g = round(N / golden ratio), point k
     (k = 0 ... N-1) has angle pi*((k + 1/2)/N - 1/2) and exponential
     -log1p(-y) with y = ((k*g mod N) + 1/2)/N, taken in int64 so k*g is
-    exact (for N below 3.8e9).  These replace the sampler's uniforms
-    and exponentials in the same transform.  The CDF is an integral over
-    (angle, exponential), and lattice points cover that square far more
-    evenly than random ones (Sloan & Joe, "Lattice Methods for Multiple
-    Integration", 1994).
+    exact (``AlphaStable`` refuses an N above 3,863,124,311, where it is
+    not).  These replace the sampler's uniforms and exponentials in the
+    same transform.  The CDF is an integral over (angle, exponential), and
+    lattice points cover that square far more evenly than random ones
+    (Sloan & Joe, "Lattice Methods for Multiple Integration", 1994).
 
     Each angle and exponential is computed in float64 and rounded once to
     float32; the transform then runs in float32.  Its rounding (6e-8
@@ -408,29 +413,13 @@ def _standard_table(alpha: float, skew: float, draws: int) -> np.ndarray:
     transform = _cms_standard_alpha_one if abs(alpha - 1.0) < _ALPHA_ONE_EPS else _cms_standard
     step = round(draws / _GOLDEN)
     table = np.empty(draws, dtype=np.float32)
-    scratch = np.empty((2, min(draws, _CHUNK)))
-    for lo in range(0, draws, _CHUNK):
-        u = table[lo:lo + _CHUNK]
-        k, x = scratch[:, : u.size]
-        k = k.view(np.int64)
-        k.fill(1)
-        k[0] = lo
-        np.cumsum(k, out=k)  # lo, lo + 1, ...
-        np.copyto(x, k)  # copyto casts without ufunc buffers
-        np.divide(np.add(x, 0.5, out=x), draws, out=x)
-        np.multiply(np.subtract(x, 0.5, out=x), math.pi, out=x)  # the angle
-        np.copyto(u, x, casting="same_kind")
-        np.remainder(np.multiply(k, step, out=k), draws, out=k)  # k*g mod N
-        np.copyto(x, k)
-        np.divide(np.add(x, 0.5, out=x), draws, out=x)  # y
-        np.negative(np.log1p(np.negative(x, out=x), out=x), out=x)  # the exponential
-        # Row 0 (k, now spent) holds the float32 exponential and one scratch
-        # row, row 1 (x, once cast) the other.
-        w, a = k.view(np.float32).reshape(2, -1)
-        np.copyto(w, x, casting="same_kind")
-        c = x.view(np.float32)[: u.size]
+    for lo in range(0, draws, _TABLE_CHUNK):
+        k = np.arange(lo, min(lo + _TABLE_CHUNK, draws))
+        u = table[lo:lo + k.size]
+        u[:] = ((k + 0.5) / draws - 0.5) * math.pi  # the angle
+        w = (-np.log1p(-((k * step % draws + 0.5) / draws))).astype(np.float32)
         with np.errstate(over="ignore"):  # a value past float32's range is +-inf
-            transform(alpha, beta, u, w, a, c)
+            transform(alpha, beta, u, w, np.empty_like(w), np.empty_like(w))
     table.sort()
     table.setflags(write=False)
     return table

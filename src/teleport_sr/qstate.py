@@ -13,7 +13,7 @@ Pauli algebra cancel in every projector and are not tracked.
 
 from __future__ import annotations
 
-import cmath
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,7 +60,7 @@ class QubitState:
             if isinstance(z, bool) or not isinstance(z, numbers.Number):
                 raise ValueError(f"state.{name} must be a number, not a boolean, got {z!r}")
             object.__setattr__(self, name, complex(z))
-        norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        norm_sq = abs(self.alpha) * abs(self.alpha) + abs(self.beta) * abs(self.beta)
         # Written so that a NaN norm fails too.
         if not abs(norm_sq - 1.0) <= _ATOL:
             raise ValueError(
@@ -70,7 +70,7 @@ class QubitState:
     @classmethod
     def normalized(cls, alpha: complex, beta: complex) -> "QubitState":
         """Construct from unnormalized amplitudes by explicit rescaling."""
-        norm = cmath.sqrt(abs(alpha) ** 2 + abs(beta) ** 2).real
+        norm = math.hypot(abs(alpha), abs(beta))
         if norm == 0:
             raise ValueError("cannot normalize the zero vector")
         return cls(alpha / norm, beta / norm)

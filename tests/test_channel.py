@@ -47,6 +47,18 @@ class TestChannelConfig:
         with pytest.raises(ValueError, match="amplitude"):
             ChannelConfig(amplitude=0.0, threshold=1.6)
 
+    @pytest.mark.parametrize("amplitude, threshold, allow", [
+        (1e308, 1.7e308, False),  # threshold + amplitude overflows to +inf
+        (1e308, -1.7e308, True),  # threshold - amplitude overflows to -inf
+        (1.7e308, 1e308, True),
+    ])
+    def test_rejects_a_forbidden_interval_that_overflows(self, amplitude, threshold, allow):
+        with pytest.raises(ValueError, match="^channel threshold .* overflows a float"):
+            ChannelConfig(amplitude, threshold, allow)
+
+    def test_keeps_a_forbidden_interval_at_the_float_limit(self):
+        assert math.isfinite(forbidden_interval(ChannelConfig(7e307, 1e308)).hi)  # 1.7e308
+
     def test_json_round_trip(self):
         cfg = parse_channel({"amplitude": 1.1, "threshold": 1.6})
         assert cfg.channel == ChannelConfig(1.1, 1.6)

@@ -986,6 +986,24 @@ class TestTopLevelErrors:
             p = json.loads(out)
             assert err == "" and p["p00"] == p["p01"] == 1.0
 
+    @pytest.mark.parametrize("command", ["probs", "theorem-check", "optimum"])
+    @pytest.mark.parametrize("section, value, message", [
+        ("noise", {"kind": "alpha_stable", "alpha": 1.5, "skew": 0.5, "cdf_draws": 10**12},
+         "cdf_draws must be at most 3863124311"),
+        ("channel", {"amplitude": 1e308, "threshold": 1.7e308},
+         "channel threshold 1.7e+308 +- amplitude 1e+308 overflows a float"),
+        ("state", {"alpha": [1e200, 0], "beta": 0}, "state is not normalized"),
+    ], ids=["cdf-draws-past-int64", "interval-overflows", "square-overflows"])
+    def test_value_past_int64_or_a_float_exits_2(self, capsys, config_path, command, section,
+                                                 value, message):
+        # A table index product past int64, a forbidden interval whose end
+        # reads Infinity and an amplitude whose square overflows are config
+        # errors, not tracebacks or non-JSON output.
+        raw = dict(base_config(), **{section: value})
+        code, out, err = run_cli(capsys, [command, "--config", config_path(raw)])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith(f"config error: {message}")
+
     def test_negative_seed_flag(self, capsys, config_path):
         code, _, err = run_cli(capsys, ["probs", "--config", config_path(base_config()),
                                         "--seed", "-1"])

@@ -100,6 +100,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="cdf_draws"):
             AlphaStable(1.5, cdf_draws=0)
 
+    def test_cdf_draws_stop_where_the_lattice_product_leaves_int64(self):
+        # The table takes k*g in int64 for k < N, g = round(N/golden): exact
+        # while (N - 1)*g < 2^63.  Only the constructors run: a table of the
+        # largest size would take 15 GB.
+        golden = (1 + math.sqrt(5)) / 2
+        for n in (3_863_124_311, 3_863_124_312):
+            assert ((n - 1) * round(n / golden) < 2**63) == (n == 3_863_124_311)
+        assert AlphaStable(1.5, 0.5, cdf_draws=3_863_124_311).cdf_draws == 3_863_124_311
+        for n in (3_863_124_312, 10**12, 10**400):  # 10^400 is past a float's range
+            with pytest.raises(ValueError, match="^cdf_draws must be at most 3863124311"):
+                AlphaStable(1.5, 0.5, cdf_draws=n)
+
     def test_gaussian_scale_that_overflows_the_radius_is_refused(self):
         # Any finite sigma > 0 is a model: the map is (sigma, mean) and the
         # standard radius carries no sigma, so sigma**2 (past 1e154) and the
@@ -288,10 +300,28 @@ class TestCdf:
         np.testing.assert_array_equal(np.isinf(table), past)
         np.testing.assert_array_equal(table[past], np.copysign(np.inf, wide[past]))
 
+    @pytest.mark.parametrize("alpha,skew", [(1.5, 0.5), (1.0, 0.3), (0.8, -1.0)])
+    def test_table_passes_do_not_change_the_table(self, monkeypatch, alpha, skew):
+        # The build runs _TABLE_CHUNK points at a time; sizes on each side of
+        # one and many pass boundaries give the sorted lattice values of one
+        # whole-array transform byte for byte, and so does a patched pass of
+        # 8 points on sizes around its boundaries.
+        def check(sizes):
+            for n in sizes:
+                table = noise._standard_table.__wrapped__(alpha, skew, n)
+                want = np.sort(lattice_values(alpha, skew, n, np.float32))
+                assert table.tobytes() == want.tobytes()
+
+        chunk = noise._TABLE_CHUNK
+        check((chunk - 1, chunk, chunk + 1, 1 << 17))
+        monkeypatch.setattr(noise, "_TABLE_CHUNK", 8)
+        check((7, 8, 9, 15, 16, 17, 29))
+
     def test_default_table_holds_only_its_output_and_a_fixed_scratch(self):
-        # 2^17 float32 entries of 4 bytes plus two float64 rows of _CHUNK
-        # values: the lattice indices and the float64 angles and
-        # exponentials, whose rows then hold the float32 scratch.
+        # 2^17 float32 entries of 4 bytes plus one pass of _TABLE_CHUNK
+        # points, whose float64 and int64 temporaries and float32 exponentials
+        # and scratch rows are freed before the next pass: well within the
+        # bound's two float64 rows of _CHUNK values.
         size = AlphaStable(1.5, 0.5).cdf_draws
         assert size == 1 << 17
         tracemalloc.start()

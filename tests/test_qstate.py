@@ -56,8 +56,9 @@ class TestQubitState:
             assert abs(abs(state.alpha) ** 2 + abs(state.beta) ** 2 - 1) <= 1e-12
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            QubitState(0.6, 0.7)
+        for alpha in (0.6, 1e200):  # 1e200 ** 2 overflows a float
+            with pytest.raises(ValueError, match="not normalized"):
+                QubitState(alpha, 0.7)
 
     def test_rejects_nan_amplitude(self):
         for alpha, beta in ((float("nan"), 1), (1, complex(0, float("nan")))):
@@ -80,9 +81,11 @@ class TestQubitState:
             assert hash(state) == hash(STATE_PRESETS["zero"])
 
     def test_normalized_constructor_rescales(self):
-        state = QubitState.normalized(3.0, 4.0j)
-        assert state.alpha == pytest.approx(0.6)
-        assert state.beta == pytest.approx(0.8j)
+        # At 1e200 and 1e-200 the squares overflow or underflow to 0; the norm does not.
+        for size in (1.0, 1e200, 1e-200):
+            state = QubitState.normalized(3.0 * size, 4.0j * size)
+            assert state.alpha == pytest.approx(0.6)
+            assert state.beta == pytest.approx(0.8j)
 
     def test_normalized_rejects_zero_vector(self):
         with pytest.raises(ValueError, match="zero vector"):
