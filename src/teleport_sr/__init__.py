@@ -6,48 +6,13 @@ channel and are threshold-detected.  It computes the teleportation fidelity
 both in closed form and by Monte Carlo, locates optimal noise levels, and
 verifies the forbidden-interval conditions under which added channel noise
 helps rather than hurts.
+
+The package API is each module's ``__all__``, re-exported here.
 """
 
-from .analysis import (
-    EntanglementResource,
-    MonotoneRegimeError,
-    OptimalNoise,
-    SweepResult,
-    TheoremLimitReport,
-    analytic_at,
-    analytic_fidelity,
-    default_scale_grid,
-    estimate_fidelity,
-    find_optimal_noise,
-    sweep,
-    theorem_limit_check,
-)
-from .channel import (
-    ChannelConfig,
-    DetectionStats,
-    Interval,
-    detection_probabilities,
-    forbidden_interval,
-    sr_predicted,
-    transmit_bits,
-)
-from .noise import (
-    AlphaStable,
-    Gaussian,
-    Laplace,
-    NoiseModel,
-    Uniform,
-)
-from .qstate import (
-    DensityMatrix,
-    PauliWeights,
-    QubitState,
-    STATE_PRESETS,
-    bell_measure,
-    bob_mixed_state,
-    corrected_state,
-    fidelity_against,
-    pauli_weights,
-)
+from .analysis import *
+from .channel import *
+from .noise import *
+from .qstate import *
 
 __version__ = "0.1.0"

@@ -53,7 +53,6 @@ __all__ = [
     "find_optimal_noise",
     "theorem_limit_check",
     "default_scale_grid",
-    "check_scales",
 ]
 
 _ATOL = 1e-12

@@ -20,12 +20,9 @@ __all__ = [
     "ChannelConfig",
     "DetectionStats",
     "Interval",
-    "encode",
-    "detect",
     "transmit_bits",
     "detection_probabilities",
     "forbidden_interval",
-    "center_regime",
     "sr_predicted",
 ]
 

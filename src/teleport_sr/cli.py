@@ -161,32 +161,39 @@ def _scale_list(values, where: str, descending: bool = False) -> tuple[float, ..
     return check_scales(values, where, descending)
 
 
-def _parse_sweep_section(spec):
+def _parse_sweep_section(spec) -> dict:
+    """``RunConfig``'s six sweep fields, by name."""
     _section(spec, "sweep", _SWEEP_KEYS)
-    if "scales" in spec and ("bounds" in spec or "count" in spec):
-        raise ValueError("sweep accepts either scales or bounds+count, not both")
-    bounds = DEFAULT_SCALE_BOUNDS
-    if "bounds" in spec:
-        bounds = _scale_list(spec["bounds"], "sweep.bounds")
-        if len(bounds) != 2:
-            raise ValueError("sweep.bounds must be [lo, hi]")
     if "scales" in spec:
+        if "bounds" in spec or "count" in spec:
+            raise ValueError("sweep accepts either scales or bounds+count, not both")
         scales = _scale_list(spec["scales"], "sweep.scales")
-        bounds = (scales[0], scales[-1])
-        if len(scales) < 2:
-            bounds = (scales[0] / 2, scales[0])
+        bounds = (scales[0], scales[-1]) if len(scales) > 1 else (scales[0] / 2, scales[0])
     else:
+        bounds = DEFAULT_SCALE_BOUNDS
+        if "bounds" in spec:
+            bounds = _scale_list(spec["bounds"], "sweep.bounds")
+            if len(bounds) != 2:
+                raise ValueError("sweep.bounds must be [lo, hi]")
         count = integer_at_least(spec.get("count", DEFAULT_SCALE_COUNT), "sweep.count", 1)
-        scales = default_scale_grid(count, bounds[0], bounds[1])
-    runs = integer_at_least(spec.get("runs", 100), "sweep.runs", 1)
-    trials = integer_at_least(spec.get("trials", 10_000), "sweep.trials", 1)
-    window = integer_at_least(spec.get("window", DEFAULT_SMOOTHING_WINDOW), "sweep.window", 1)
-    if window % 2 == 0:
-        raise ValueError(f"sweep.window must be odd, got {window}")
-    small_scales = DEFAULT_SMALL_SCALES
+        try:
+            scales = default_scale_grid(count, bounds[0], bounds[1])
+        except (MemoryError, ValueError, IndexError):
+            # numpy raises MemoryError, or past its largest array ValueError or IndexError.
+            raise ValueError(f"sweep.count {count} is too large for numpy to build") from None
+    parsed = dict(
+        scales=scales, bounds=bounds,
+        runs=integer_at_least(spec.get("runs", 100), "sweep.runs", 1),
+        trials=integer_at_least(spec.get("trials", 10_000), "sweep.trials", 1),
+        window=integer_at_least(spec.get("window", DEFAULT_SMOOTHING_WINDOW), "sweep.window", 1),
+    )
+    if parsed["window"] % 2 == 0:
+        raise ValueError(f"sweep.window must be odd, got {parsed['window']}")
+    parsed["small_scales"] = DEFAULT_SMALL_SCALES
     if "small_scales" in spec:
-        small_scales = _scale_list(spec["small_scales"], "sweep.small_scales", descending=True)
-    return scales, bounds, runs, trials, window, small_scales
+        parsed["small_scales"] = _scale_list(
+            spec["small_scales"], "sweep.small_scales", descending=True)
+    return parsed
 
 
 def parse_run_config(raw, seed_override: int | None = None) -> RunConfig:
@@ -198,13 +205,11 @@ def parse_run_config(raw, seed_override: int | None = None) -> RunConfig:
     # A null optional section means its defaults, like an empty one.
     optional = {key: {} if raw.get(key) is None else raw[key] for key in ("resource", "sweep")}
     resource = _build(EntanglementResource, optional["resource"], "resource")
-    scales, bounds, runs, trials, window, small_scales = _parse_sweep_section(optional["sweep"])
+    sweep_fields = _parse_sweep_section(optional["sweep"])
     seed = raw.get("seed", 0) if seed_override is None else seed_override
     integer_at_least(seed, "seed", 0)
     return RunConfig(
-        state=state, channel=chan, noise=model, resource=resource,
-        scales=scales, bounds=bounds, runs=runs, trials=trials, window=window,
-        small_scales=small_scales, seed=seed,
+        state=state, channel=chan, noise=model, resource=resource, seed=seed, **sweep_fields
     )
 
 

@@ -50,8 +50,6 @@ __all__ = [
     "Uniform",
     "Laplace",
     "AlphaStable",
-    "finite_real",
-    "integer_at_least",
 ]
 
 # Width of the dedicated alpha=1 sampling/CDF branch; avoids the

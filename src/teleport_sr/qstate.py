@@ -42,6 +42,17 @@ _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _INV_SQRT2 = 1 / np.sqrt(2)
 
 
+def _amplitude(name: str, z) -> tuple[complex, float]:
+    """The amplitude as a complex and its modulus; refuses what is no number or overflows."""
+    if isinstance(z, bool) or not isinstance(z, numbers.Number):
+        raise ValueError(f"state.{name} must be a number, not a boolean, got {z!r}")
+    try:
+        z = complex(z)
+        return z, abs(z)
+    except OverflowError:
+        raise ValueError(f"state.{name} has a modulus too large for a float, got {z!r}") from None
+
+
 @dataclass(frozen=True)
 class QubitState:
     """A pure qubit ``alpha|0> + beta|1>``; must be normalized.
@@ -55,12 +66,10 @@ class QubitState:
     beta: complex
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            z = getattr(self, name)
-            if isinstance(z, bool) or not isinstance(z, numbers.Number):
-                raise ValueError(f"state.{name} must be a number, not a boolean, got {z!r}")
-            object.__setattr__(self, name, complex(z))
-        norm_sq = abs(self.alpha) * abs(self.alpha) + abs(self.beta) * abs(self.beta)
+        (alpha, a), (beta, b) = _amplitude("alpha", self.alpha), _amplitude("beta", self.beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        norm_sq = a * a + b * b
         # Written so that a NaN norm fails too.
         if not abs(norm_sq - 1.0) <= _ATOL:
             raise ValueError(
@@ -70,7 +79,8 @@ class QubitState:
     @classmethod
     def normalized(cls, alpha: complex, beta: complex) -> "QubitState":
         """Construct from unnormalized amplitudes by explicit rescaling."""
-        norm = math.hypot(abs(alpha), abs(beta))
+        (alpha, a), (beta, b) = _amplitude("alpha", alpha), _amplitude("beta", beta)
+        norm = math.hypot(a, b)
         if norm == 0:
             raise ValueError("cannot normalize the zero vector")
         return cls(alpha / norm, beta / norm)

@@ -482,6 +482,8 @@ class TestSweep:
         )
         with pytest.raises(ValueError, match="feasible fidelity band"):
             SweepResult(**broken)
+        with pytest.raises(ValueError, match=f"mc_mean has 1 entries for {len(ok.scales)} scales"):
+            SweepResult(**dict(broken, mc_mean=ok.mc_mean[:1]))
 
 
 class TestFindOptimalNoise:

@@ -993,16 +993,35 @@ class TestTopLevelErrors:
         ("channel", {"amplitude": 1e308, "threshold": 1.7e308},
          "channel threshold 1.7e+308 +- amplitude 1e+308 overflows a float"),
         ("state", {"alpha": [1e200, 0], "beta": 0}, "state is not normalized"),
-    ], ids=["cdf-draws-past-int64", "interval-overflows", "square-overflows"])
+        ("state", {"alpha": [1.7e308, 1.7e308], "beta": 0},
+         "state.alpha has a modulus too large for a float"),
+        ("state", {"alpha": [1.7e308, 1.7e308], "beta": 0, "normalize": True},
+         "state.alpha has a modulus too large for a float"),
+        ("sweep", {"count": 10**21}, "sweep.count 1000000000000000000000 is too large"),
+    ], ids=["cdf-draws-past-int64", "interval-overflows", "square-overflows",
+            "modulus-overflows", "modulus-overflows-normalize", "count-past-numpy-size"])
     def test_value_past_int64_or_a_float_exits_2(self, capsys, config_path, command, section,
                                                  value, message):
         # A table index product past int64, a forbidden interval whose end
-        # reads Infinity and an amplitude whose square overflows are config
-        # errors, not tracebacks or non-JSON output.
+        # reads Infinity, an amplitude whose square or modulus overflows and
+        # a grid longer than numpy's largest array are config errors, not
+        # tracebacks or non-JSON output.
         raw = dict(base_config(), **{section: value})
         code, out, err = run_cli(capsys, [command, "--config", config_path(raw)])
         assert (code, out) == (EXIT_CONFIG, "")
         assert err.startswith(f"config error: {message}")
+
+    def test_count_whose_grid_memory_cannot_hold_exits_2(self, capsys, config_path,
+                                                         monkeypatch):
+        # Raised, not allocated: where memory is overcommitted, a request
+        # for 10^12 grid values can succeed.
+        def out_of_memory(*args):
+            raise MemoryError
+        monkeypatch.setattr(cli, "default_scale_grid", out_of_memory)
+        raw = dict(base_config(), sweep={"count": 10**12})
+        code, out, err = run_cli(capsys, ["probs", "--config", config_path(raw)])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: sweep.count 1000000000000 is too large")
 
     def test_negative_seed_flag(self, capsys, config_path):
         code, _, err = run_cli(capsys, ["probs", "--config", config_path(base_config()),

@@ -87,6 +87,20 @@ class TestQubitState:
             assert state.alpha == pytest.approx(0.6)
             assert state.beta == pytest.approx(0.8j)
 
+    def test_rejects_an_amplitude_whose_modulus_overflows(self):
+        huge = complex(1.7e308, 1.7e308)
+        for make in (QubitState, QubitState.normalized):
+            with pytest.raises(ValueError, match="^state.alpha has a modulus too large"):
+                make(huge, 0)
+
+    def test_normalized_rejects_a_boolean(self):
+        with pytest.raises(ValueError, match="^state.alpha must be a number"):
+            QubitState.normalized(True, 0)
+
+    def test_normalized_rejects_a_non_number(self):
+        with pytest.raises(ValueError, match="^state.alpha must be a number"):
+            QubitState.normalized("1", 0)
+
     def test_normalized_rejects_zero_vector(self):
         with pytest.raises(ValueError, match="zero vector"):
             QubitState.normalized(0, 0)
@@ -310,6 +324,7 @@ class TestFidelityAgainst:
     @pytest.mark.parametrize("raw,problem", [
         (2 * np.eye(2), "trace"),
         ([[0.9, 0.9], [0.9, 0.1]], "negative eigenvalue"),
+        (np.eye(3) / 3, "must be 2x2"),
     ])
     def test_rejects_a_raw_array_that_is_no_density_matrix(self, raw, problem):
         with pytest.raises(ValueError, match=problem):
