@@ -12,17 +12,16 @@ the four net corrections (y1 xor s1, y2 xor s2); the formula averages the
 same per-correction overlaps analytically, so the estimator is unbiased
 without sampling a terminal quantum measurement.
 
-Sweeps derive one random stream per (scale, run) cell from a master seed, so
-results are bit-identical regardless of worker count or execution order.
-Within a call, :func:`estimate_fidelity` runs its trials in blocks of
-``_BLOCK`` (65,536); each block draws its measurement bits ``s1`` and ``s2``
-in one draw, then the channel noise for ``y1`` and ``y2`` in one draw.
-Memory per call is bounded by the block, not by the trial count.
+One stream per run; blocks of a longer call draw from spawned children, and a
+multi-block call advances only the caller's spawn counter.  So every scale of
+a sweep run shares its draws, results are bit-identical for any worker or
+thread count, and memory is bounded by the threads times one ``_BLOCK``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -58,9 +57,8 @@ __all__ = [
 _ATOL = 1e-12
 _SCALE_RTOL = 1e-6
 _LIMIT_TOL = 1e-5
-# Trials per block of estimate_fidelity: bounds its memory at a few MB per
-# call.  A fixed constant, so results never depend on the worker count.
-_BLOCK = 1 << 16
+_BLOCK = 1 << 16  # trials per block: a few MB per thread, and fixed, so no result moves with threads
+_ROUND = 256  # blocks a longer call spawns streams for and queues at a time
 
 # Sweep defaults: the grid's (lo, hi] and length, and the smoothing window;
 # then theorem_limit_check's grid.
@@ -138,32 +136,39 @@ def estimate_fidelity(state: QubitState, config: ChannelConfig, noise: NoiseMode
                       rng: np.random.Generator) -> float:
     """Mean trial fidelity over ``trials`` independent protocol trials.
 
-    Vectorized in blocks of at most ``_BLOCK`` trials, so memory stays
-    bounded however large ``trials`` is.  Each block draws its measurement
-    bits ``s1`` and ``s2`` in one draw (:func:`bell_measure`), then one
-    noise draw for both (:func:`transmit_bits`, ``y1`` first).  Each
-    trial's fidelity is exact given its net correction bits (y xor s), so
-    the trials are counted per correction and the result is the
-    Werner-mixed mean of the overlap table over those counts: the mean of
-    the per-trial values, without sampling Bob's final measurement (same
-    expectation, smaller variance).  Converges to :func:`analytic_fidelity`
-    as the trial count grows.
+    Each block of at most ``_BLOCK`` trials draws its bits ``s1`` and ``s2``
+    in one draw (:func:`bell_measure`), then one noise draw for both
+    (:func:`transmit_bits`, ``y1`` first).  One stream per run; blocks of a
+    longer call draw from spawned children, and a multi-block call advances
+    only the caller's spawn counter: block b of k runs on child b of
+    ``rng.spawn(k)``, a thread per full block up to the usable CPUs, memory
+    bounded by the threads times one block, and one result for any threads.
+    Each trial's fidelity is exact given its net correction (y xor s), so
+    trials are counted per correction: the result is the Werner-mixed mean of
+    their overlaps, without sampling Bob's final measurement (same
+    expectation, smaller variance).  Converges to :func:`analytic_fidelity`.
     """
     integer_at_least(trials, "trials", 1)
-    table = pauli_weights(state).overlap_table()
-    counts = np.zeros(4, dtype=np.int64)
-    for start in range(0, trials, _BLOCK):
-        n = min(_BLOCK, trials - start)
-        s = bell_measure(rng, n)
-        e = transmit_bits(s, config, noise, rng)
+
+    def block_counts(n: int, stream: np.random.Generator) -> np.ndarray:
+        s = bell_measure(stream, n)
+        e = transmit_bits(s, config, noise, stream)
         e ^= s
         e1, e2 = e
         # Trials per net correction 2 * e1 + e2: none, Z, X, XZ.
         n1, n2 = np.count_nonzero(e1), np.count_nonzero(e2)
         both = np.count_nonzero(e1 & e2)
-        counts += (n - n1 - n2 + both, n2 - both, n1 - both, both)
+        return np.array((n - n1 - n2 + both, n2 - both, n1 - both, both), dtype=np.int64)
+
+    if trials <= _BLOCK:
+        counts = block_counts(trials, rng)
+    else:  # block b of k runs on child b of rng.spawn(k), spawned _ROUND at a time
+        counts, workers = 0, min(trials // _BLOCK, _cpu_count())  # a partial block pays for no thread
+        for first in range(0, trials, _ROUND * _BLOCK):
+            sizes = [min(_BLOCK, trials - b) for b in range(first, trials, _BLOCK)[:_ROUND]]
+            counts += sum(_map(block_counts, sizes, rng.spawn(len(sizes)), workers=workers))
     w = resource.werner_f
-    return float(w * (counts @ table) / trials + (1.0 - w) / 2.0)
+    return float(w * (counts @ pauli_weights(state).overlap_table()) / trials + (1.0 - w) / 2.0)
 
 
 def check_scales(values, where: str, descending: bool = False) -> tuple[float, ...]:
@@ -244,12 +249,22 @@ class SweepResult:
                 "rows": [dict(zip(COLUMNS, row)) for row in self.rows()]}
 
 
-def _cell_rng(master_seed: int, scale_index: int, run_index: int) -> np.random.Generator:
-    # Splittable counter scheme: every (scale, run) cell owns a stream that
-    # depends only on the master seed and its coordinates.
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(scale_index, run_index))
-    )
+def _cell_rng(master_seed: int, run_index: int) -> np.random.Generator:
+    # Common random numbers: every scale of run j draws from this same stream.
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(run_index,)))
+
+
+def _cpu_count() -> int:  # usable CPUs: the affinity mask where the platform has one
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _map(fn, *iterables, workers: int) -> list:
+    """``list(map(fn, *iterables))``: inline for one worker, else on a pool of ``workers`` threads."""
+    if workers == 1:
+        return list(map(fn, *iterables))
+    from concurrent.futures import ThreadPoolExecutor  # deferred: only a pool needs it
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *iterables))
 
 
 def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
@@ -262,8 +277,8 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
     ``noise_family`` supplies everything but the scale, which is replaced per
     grid point.  The analytic column is evaluated on the calling thread and
     only the Monte Carlo runs on the ``workers`` threads.  Each of the
-    ``runs`` independent estimates at a scale uses ``trials_per_run`` trials
-    on its own derived stream; output is identical for any ``workers`` value.
+    ``runs`` estimates at a scale uses ``trials_per_run`` trials on its run's
+    stream, shared by every scale; output is identical for any ``workers``.
     A grid whose largest scale squared overflows a float is refused before
     any cell runs: its ``scale_squared`` column could not be written.
     """
@@ -275,7 +290,6 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
         raise ValueError(f"smoothing window must be odd, got {smoothing_window}")
     integer_at_least(workers, "workers", 1)
     integer_at_least(master_seed, "master_seed", 0)
-    from concurrent.futures import ThreadPoolExecutor  # deferred: only sweep needs a pool
 
     weights = pauli_weights(state)
     analytic = [analytic_at(weights, config, noise_family.with_scale(s), resource) for s in scales]
@@ -283,10 +297,9 @@ def sweep(state: QubitState, config: ChannelConfig, noise_family: NoiseModel,
     def estimates_at(i: int) -> list[float]:
         model = noise_family.with_scale(scales[i])
         return [estimate_fidelity(state, config, model, resource, trials_per_run,
-                                  _cell_rng(master_seed, i, j)) for j in range(runs)]
+                                  _cell_rng(master_seed, j)) for j in range(runs)]
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        estimates = np.array(list(pool.map(estimates_at, range(len(scales)))))
+    estimates = np.array(_map(estimates_at, range(len(scales)), workers=workers))
     mc_mean = estimates.mean(axis=1)
 
     metadata = {

@@ -26,11 +26,13 @@ cannot be written (OSError), 4 monotone regime (MonotoneRegimeError: no
 interior optimum, the noise center inside the forbidden interval or on an
 endpoint; its mapping still goes to stdout).  The TELEPORT_SR_THREADS
 environment variable sets the sweep worker count (1 when unset); results do
-not depend on it.
+not depend on it or on the CPU count.
 
-Only ``sweep`` loads the SHA-256 hasher and the thread pool, and no command
-loads an XML library.  ``simulate`` and ``sweep`` load numpy's random module,
-which itself brings in OpenSSL through ``secrets``.
+Only ``sweep`` loads the SHA-256 hasher, and no command loads an XML library.
+The thread pool loads only where one runs (one stream per run; blocks of a
+longer call draw from spawned children, and a multi-block call advances only
+the caller's spawn counter).  ``simulate`` and ``sweep`` load numpy's random
+module, which itself brings in OpenSSL through ``secrets``.
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ paper's two vanishing-noise theorems over random channels and centers for the
 families with a closed-form CDF.
 """
 
+import concurrent.futures
 import csv
 import io
 import math
+import sys
 import threading
 from functools import lru_cache
 
@@ -228,7 +230,7 @@ class TestEstimateFidelity:
     @pytest.mark.parametrize("model,trials,seed,expected", [
         (Gaussian(0.0, 1.42), 10_000, 1, "0x1.2a8f7055ea769p-1"),
         (Laplace(0.3, 1.2), 10_000, 2, "0x1.2d0e9a0c5c350p-1"),
-        (AlphaStable(1.5, 0.5, 1.0, 0.0), 70_000, 3, "0x1.363bf12a8888ep-1"),  # > one block
+        (AlphaStable(1.5, 0.5, 1.0, 0.0), 70_000, 3, "0x1.36e4c3a163e5dp-1"),  # > one block
         (AlphaStable(1.0, 0.0, 1.11, 0.0), 10_000, 4, "0x1.19f36a4725ec4p-1"),
     ], ids=["gaussian", "laplace", "stable-1.5-skew-0.5", "cauchy"])
     def test_random_stream_is_pinned(self, model, trials, seed, expected):
@@ -245,11 +247,12 @@ class TestEstimateFidelity:
                               np.random.default_rng(0))
 
     def test_replay_is_deterministic(self):
-        a = estimate_fidelity(PLUS, REF_CHANNEL, Gaussian(0.0, 1.42), PERFECT, 5000,
-                              np.random.default_rng(15))
-        b = estimate_fidelity(PLUS, REF_CHANNEL, Gaussian(0.0, 1.42), PERFECT, 5000,
-                              np.random.default_rng(15))
-        assert a == b
+        for trials in (5000, 150_000):  # one block, then three
+            a = estimate_fidelity(PLUS, REF_CHANNEL, Gaussian(0.0, 1.42), PERFECT, trials,
+                                  np.random.default_rng(15))
+            b = estimate_fidelity(PLUS, REF_CHANNEL, Gaussian(0.0, 1.42), PERFECT, trials,
+                                  np.random.default_rng(15))
+            assert a == b
 
     def test_clt_consistency_over_random_scenarios(self):
         # 4-sigma Hoeffding band, >= 95 of 100 scenarios must land inside.
@@ -280,6 +283,7 @@ class TestEstimateFidelity:
     def test_trials_run_in_bounded_blocks(self, monkeypatch, trials):
         # Memory is flat in the trial count when no draw exceeds one block:
         # per block one Bell draw of n and one noise draw of 2 n (y1, y2).
+        # Blocks may run concurrently, so the sizes are compared as multisets.
         monkeypatch.setattr(analysis, "_BLOCK", 7)
         bell_sizes, noise_sizes = [], []
         bell_measure, sample = analysis.bell_measure, Gaussian.sample
@@ -298,22 +302,54 @@ class TestEstimateFidelity:
                           np.random.default_rng(3))
         blocks = math.ceil(trials / 7)
         assert len(bell_sizes) == blocks and len(noise_sizes) == blocks
-        assert noise_sizes == [2 * n for n in bell_sizes]
+        assert sorted(noise_sizes) == sorted(2 * n for n in bell_sizes)
         assert max(bell_sizes) <= 7
         assert sum(bell_sizes) == trials
 
     @pytest.mark.parametrize("trials", [1, 6, 7, 8, 14, 15])
     def test_blocks_are_consecutive_single_block_calls(self, monkeypatch, trials):
-        # A blocked call draws what single-block calls of sizes 7, 7, ...,
-        # remainder draw one after another from the same stream, and
-        # averages their trials.
+        # A call of one block runs on the caller's generator.  A longer call
+        # draws what single-block calls of sizes 7, 7, ..., remainder draw on
+        # the children of rng.spawn(k), in order, and averages their trials.
         monkeypatch.setattr(analysis, "_BLOCK", 7)
-        args = (PLUS, REF_CHANNEL, Gaussian(0.0, 1.42), EntanglementResource(0.8))
-        blocked = estimate_fidelity(*args, trials, np.random.default_rng(21))
-        rng = np.random.default_rng(21)
         sizes = [min(7, trials - start) for start in range(0, trials, 7)]
-        weighted = sum(n * estimate_fidelity(*args, n, rng) for n in sizes) / trials
-        assert blocked == pytest.approx(weighted, abs=1e-15)
+        for model in (Gaussian(0.0, 1.42), AlphaStable(1.5, 0.5)):
+            args = (PLUS, REF_CHANNEL, model, EntanglementResource(0.8))
+            blocked = estimate_fidelity(*args, trials, np.random.default_rng(21))
+            rng = np.random.default_rng(21)
+            streams = rng.spawn(len(sizes)) if len(sizes) > 1 else [rng]
+            weighted = sum(n * estimate_fidelity(*args, n, stream)
+                           for n, stream in zip(sizes, streams)) / trials
+            assert blocked == pytest.approx(weighted, abs=1e-15)
+
+    def test_blocked_call_advances_only_the_spawn_counter(self, monkeypatch):
+        # A multi-block call draws nothing from the caller's generator; the
+        # caller's next child is the first one the call did not use.
+        monkeypatch.setattr(analysis, "_BLOCK", 7)
+        rng = np.random.default_rng(22)
+        state = rng.bit_generator.state
+        estimate_fidelity(PLUS, REF_CHANNEL, Gaussian(0.0, 1.42), PERFECT, 50, rng)
+        assert rng.bit_generator.state == state
+        assert rng.bit_generator.seed_seq.n_children_spawned == 8
+        assert rng.spawn(1)[0].random() == np.random.default_rng(22).spawn(9)[8].random()
+
+    @pytest.mark.parametrize("model", [Gaussian(0.0, 1.42), AlphaStable(1.5, 0.5)],
+                             ids=["gaussian", "stable-1.5-skew-0.5"])
+    def test_blocked_call_is_thread_count_independent(self, monkeypatch, model):
+        # The same bits on 1 and 3 threads, and with the spawned streams
+        # queued a few blocks at a time; threads switch often to mix the blocks.
+        monkeypatch.setattr(analysis, "_BLOCK", 7)
+        hexes, interval = set(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus, blocks_per_round in [(1, 256), (3, 256), (3, 2), (1, 3)]:
+                monkeypatch.setattr(analysis, "_cpu_count", lambda: cpus)
+                monkeypatch.setattr(analysis, "_ROUND", blocks_per_round)
+                hexes.add(estimate_fidelity(PLUS, REF_CHANNEL, model, EntanglementResource(0.8),
+                                            50, np.random.default_rng(23)).hex())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(hexes) == 1
 
     def test_blocked_sweep_is_worker_independent(self, monkeypatch):
         monkeypatch.setattr(analysis, "_BLOCK", 7)
@@ -372,14 +408,43 @@ class TestSweep:
         assert a.to_csv() == b.to_csv() == c.to_csv()
 
     @pytest.mark.parametrize("family,expected", [
-        (Gaussian(0.0, 1.0), ["0x1.45a1cac083126p-1", "0x1.52f1a9fbe76c8p-1"]),
-        (AlphaStable(1.5, 0.5, 1.0, 0.0), ["0x1.6f9db22d0e55fp-1", "0x1.5ba5e353f7cedp-1"]),
+        (Gaussian(0.0, 1.0), ["0x1.4ccccccccccccp-1", "0x1.5c28f5c28f5c2p-1"]),
+        (AlphaStable(1.5, 0.5, 1.0, 0.0), ["0x1.6c083126e978cp-1", "0x1.68f5c28f5c28ep-1"]),
     ], ids=["gaussian", "stable-1.5-skew-0.5"])
     def test_stream_layout_is_pinned(self, family, expected):
-        # One stream per (scale, run) cell, bit for bit: a sweep that shares
-        # one stream per run across the scales moves these values.
+        # One stream per run, shared by every scale, bit for bit: a sweep
+        # that gives each (scale, run) cell its own stream moves these values.
         res = self.small(noise_family=family, scales=[0.8, 1.5], runs=2, trials_per_run=500)
         assert [m.hex() for m in res.mc_mean] == expected
+
+    def test_cell_is_the_estimate_on_its_runs_stream(self):
+        # Common random numbers: cell (i, j) is estimate_fidelity at scale i
+        # on run j's stream, whatever i, so the columns are exact statistics
+        # of those estimates.
+        family, scales = AlphaStable(1.5, 0.5), (0.4, 0.9, 1.7)
+        res = self.small(noise_family=family, scales=scales, runs=3, trials_per_run=300,
+                         resource=EntanglementResource(0.8))
+        cells = np.array([[estimate_fidelity(
+            PLUS, REF_CHANNEL, family.with_scale(s), EntanglementResource(0.8), 300,
+            np.random.default_rng(np.random.SeedSequence(99, spawn_key=(j,))))
+            for j in range(3)] for s in scales])
+        assert res.mc_mean == tuple(cells.mean(axis=1))
+        assert res.mc_min == tuple(cells.min(axis=1))
+        assert res.mc_max == tuple(cells.max(axis=1))
+
+    def test_one_worker_runs_no_pool_thread(self, monkeypatch):
+        threads = []
+        estimate = analysis.estimate_fidelity
+
+        def spy(*args):
+            threads.append(threading.get_ident())
+            return estimate(*args)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
+        monkeypatch.setattr(analysis, "estimate_fidelity", spy)
+        self.small()
+        assert len(threads) == 12 * 4
+        assert set(threads) == {threading.get_ident()}
 
     def test_stable_sweep_builds_one_standard_table(self, monkeypatch):
         # A fresh cache counts this sweep's builds; no other test looks up

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import teleport_sr
-from teleport_sr import cli
+from teleport_sr import analysis, cli
 from teleport_sr.analysis import MonotoneRegimeError, analytic_at
 from teleport_sr.channel import (
     Interval,
@@ -758,11 +758,12 @@ print(json.dumps({"codes": codes, "loaded": sorted(set(sys.modules) - bare)}))
 MONTE_CARLO_ONLY = {"_hashlib", "xml.etree.ElementTree", "concurrent.futures", "numpy.random"}
 
 
-def footprint(runs) -> dict:
+def footprint(runs, threads: str = "1") -> dict:
     package_root = os.path.dirname(os.path.dirname(teleport_sr.__file__))
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(runs)],
                           capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": package_root})
+                          env={**os.environ, "PYTHONPATH": package_root,
+                               "TELEPORT_SR_THREADS": threads})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -781,14 +782,36 @@ class TestImportFootprint:
         assert result["codes"] == [EXIT_OK] * len(runs)
         assert MONTE_CARLO_ONLY.isdisjoint(result["loaded"])
 
-    def test_sweep_loads_the_pool_and_the_hasher(self, config_path, tmp_path):
+    def sweep_footprint(self, config_path, tmp_path, threads: str) -> list:
         raw = base_config()
         raw["sweep"].update(runs=1, trials=10)
         result = footprint([["sweep", "--config", config_path(raw),
-                             "--out", str(tmp_path / "out")]])
+                             "--out", str(tmp_path / "out")]], threads)
         assert result["codes"] == [EXIT_OK]
-        assert {"concurrent.futures", "_hashlib"} <= set(result["loaded"])
         assert "xml.etree.ElementTree" not in result["loaded"]
+        return result["loaded"]
+
+    def test_sweep_loads_the_pool_and_the_hasher(self, config_path, tmp_path):
+        loaded = self.sweep_footprint(config_path, tmp_path, "2")
+        assert {"concurrent.futures", "_hashlib"} <= set(loaded)
+
+    def test_one_worker_sweep_loads_the_hasher_but_no_pool(self, config_path, tmp_path):
+        # Its cells are one block each, so nothing here runs off the calling thread.
+        loaded = self.sweep_footprint(config_path, tmp_path, "1")
+        assert "_hashlib" in loaded
+        assert "concurrent.futures" not in loaded
+
+    @pytest.mark.parametrize("trials", [analysis._BLOCK, analysis._BLOCK + 1,
+                                        2 * analysis._BLOCK])
+    def test_simulate_loads_the_pool_past_one_block(self, config_path, trials):
+        # A call runs one thread per full block, up to the usable CPUs: a
+        # partial second block runs inline, after the first.
+        raw = base_config()
+        raw["sweep"]["trials"] = trials
+        result = footprint([["simulate", "--config", config_path(raw)]])
+        assert result["codes"] == [EXIT_OK]
+        pooled = trials >= 2 * analysis._BLOCK and analysis._cpu_count() > 1
+        assert ("concurrent.futures" in result["loaded"]) == pooled
 
 
 class TestExitCodeTable:
