@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -59,6 +60,7 @@ _SCALE_RTOL = 1e-6
 _LIMIT_TOL = 1e-5
 _BLOCK = 1 << 16  # trials per block: a few MB per thread, and fixed, so no result moves with threads
 _ROUND = 256  # blocks a longer call spawns streams for and queues at a time
+_pool_thread = threading.local()  # ``inside`` is set on the threads of a ``_map`` pool
 
 # Sweep defaults: the grid's (lo, hi] and length, and the smoothing window;
 # then theorem_limit_check's grid.
@@ -141,8 +143,9 @@ def estimate_fidelity(state: QubitState, config: ChannelConfig, noise: NoiseMode
     (:func:`transmit_bits`, ``y1`` first).  One stream per run; blocks of a
     longer call draw from spawned children, and a multi-block call advances
     only the caller's spawn counter: block b of k runs on child b of
-    ``rng.spawn(k)``, a thread per full block up to the usable CPUs, memory
-    bounded by the threads times one block, and one result for any threads.
+    ``rng.spawn(k)``, a thread per full block up to the usable CPUs (inline
+    on a sweep worker's thread), memory bounded by the threads times one
+    block, and one result for any threads.
     Each trial's fidelity is exact given its net correction (y xor s), so
     trials are counted per correction: the result is the Werner-mixed mean of
     their overlaps, without sampling Bob's final measurement (same
@@ -259,11 +262,13 @@ def _cpu_count() -> int:  # usable CPUs: the affinity mask where the platform ha
 
 
 def _map(fn, *iterables, workers: int) -> list:
-    """``list(map(fn, *iterables))``: inline for one worker, else on a pool of ``workers`` threads."""
-    if workers == 1:
+    """``list(map(fn, *iterables))`` on a pool of ``workers`` threads; inline for one
+    worker, and on a pool's own thread, so a sweep worker runs a cell's blocks itself."""
+    if workers == 1 or getattr(_pool_thread, "inside", False):
         return list(map(fn, *iterables))
     from concurrent.futures import ThreadPoolExecutor  # deferred: only a pool needs it
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers, initializer=setattr,
+                            initargs=(_pool_thread, "inside", True)) as pool:
         return list(pool.map(fn, *iterables))
 
 

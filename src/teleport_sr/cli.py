@@ -9,10 +9,13 @@ produce byte-identical output.  Commands:
     optimum         best noise scale (a 16-point scan, refined by golden section)
     theorem-check   vanishing-noise fidelity limit
 
-Options may come before or after the command name.  Every command takes
-``--config`` (required) and ``--seed``; ``sweep`` also takes ``--out`` and
-``--svg``/``--no-svg``, and every other command takes ``--format json|csv``.
-An option the command does not take is an unrecognized argument (exit 2).
+Options may come before or after the command name, as ``--name value`` or
+``--name=value``; a repeated option's last value wins, and abbreviations
+(``--conf``) are refused.  Every command takes ``--config`` (required) and
+``--seed``; ``sweep`` also takes ``--out`` and ``--svg``/``--no-svg``, and
+every other command takes ``--format json|csv``.  ``-h``/``--help`` prints
+this text.  A malformed line, or an option the command does not take, exits
+2 with ``teleport-sr: error:`` on stderr, before the config is read.
 
 The config format lives here only: every section is an object with no unknown
 keys and its required keys, and an error names the section and the key.  The
@@ -28,7 +31,8 @@ endpoint; its mapping still goes to stdout).  The TELEPORT_SR_THREADS
 environment variable sets the sweep worker count (1 when unset); results do
 not depend on it or on the CPU count.
 
-Only ``sweep`` loads the SHA-256 hasher, and no command loads an XML library.
+No command loads ``argparse``, ``gettext`` or ``locale``.  Only ``sweep``
+loads the SHA-256 hasher, and no command loads an XML library.
 The thread pool loads only where one runs (one stream per run; blocks of a
 longer call draw from spawned children, and a multi-block call advances only
 the caller's spawn counter).  ``simulate`` and ``sweep`` load numpy's random
@@ -37,13 +41,12 @@ module, which itself brings in OpenSSL through ``secrets``.
 
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import json
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -438,40 +441,56 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """One flat parser for every command, built on first use: not at import,
-    and once per process.  ``main`` refuses the options a command does not take.
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """``argv`` as the command and its options; ``-h``/``--help`` prints the module docstring.
+    A malformed line, or an option the command does not take, exits 2 before the config is read.
     """
-    parser = argparse.ArgumentParser(
-        prog="teleport-sr",
-        description="Noise-benefit analysis of teleportation with thresholded classical feedforward.",
-    )
-    parser.add_argument("command", choices=tuple(_COMMANDS))
-    parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--out", default=None,
-                        help="sweep only: output directory (default: the current directory)")
-    parser.add_argument("--svg", action=argparse.BooleanOptionalAction, default=None,
-                        help="sweep only: also render sweep.svg (default: yes)")
-    parser.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="every command but sweep: stdout format (default: json)")
-    return parser
+    def fail(message: str):
+        print(f"teleport-sr: error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_CONFIG)
+
+    if "-h" in argv or "--help" in argv:
+        print(__doc__ or "usage: teleport-sr COMMAND --config PATH [--seed N] [--out DIR] "
+              "[--svg|--no-svg] [--format json|csv]\n", end="")  # python -OO strips __doc__
+        raise SystemExit(EXIT_OK)
+    args = SimpleNamespace(command=None, config=None, seed=None, out=None, svg=True, format="json")
+    given = {}  # option name -> the option as written, to name it if the command refuses it
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name in ("--config", "--seed", "--out", "--format"):
+            if not eq:
+                value = next(tokens, None)
+                if value is None or value.startswith("--"):
+                    fail(f"argument {name}: expected one argument")
+            setattr(args, name[2:], value)
+            given[name] = f"{name} {value}"
+        elif token in ("--svg", "--no-svg"):
+            args.svg, given["--svg"] = token == "--svg", token
+        elif args.command is None and not token.startswith("-"):
+            if token not in _COMMANDS:
+                fail(f"invalid command {token!r} (choose from {', '.join(_COMMANDS)})")
+            args.command = token
+        else:
+            fail(f"unrecognized arguments: {token}")
+    for label, value in (("command", args.command), ("--config", args.config)):
+        if value is None:
+            fail(f"the following arguments are required: {label}")
+    try:
+        args.seed = None if args.seed is None else int(args.seed)
+    except ValueError:
+        fail(f"argument --seed: invalid int value: {args.seed!r}")
+    if args.format not in ("json", "csv"):
+        fail(f"argument --format: invalid choice: {args.format!r} (choose from 'json', 'csv')")
+    other = ("--format",) if args.command == "sweep" else ("--out", "--svg")
+    refused = [given[name] for name in other if name in given]
+    if refused:
+        fail(f"unrecognized arguments: {' '.join(refused)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command == "sweep":
-        refused = [] if args.format is None else [f"--format {args.format}"]
-    else:
-        refused = [] if args.out is None else [f"--out {args.out}"]
-        if args.svg is not None:
-            refused.append("--svg" if args.svg else "--no-svg")
-    if refused:
-        parser.error(f"unrecognized arguments: {' '.join(refused)}")
-    args.svg = args.svg is not False
-    args.format = args.format or "json"
+    args = _parse_args(list(sys.argv[1:] if argv is None else argv))
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             raw = json.load(handle)

@@ -360,6 +360,32 @@ class TestEstimateFidelity:
         assert one.to_csv() == two.to_csv()
         assert one.to_json_dict() == two.to_json_dict()
 
+    def test_sweep_worker_runs_its_blocks_inline(self, monkeypatch):
+        # Every cell holds two full blocks: at 1 worker each cell opens a block
+        # pool; at 2 workers the sweep's pool is the only one.
+        pools = []
+
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(analysis, "_BLOCK", 7)
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+        kwargs = dict(state=PLUS, config=REF_CHANNEL, noise_family=Gaussian(0.0, 1.0),
+                      scales=default_scale_grid(3), runs=2, trials_per_run=14,
+                      resource=EntanglementResource(0.8), master_seed=5)
+        hexes, opened = [], []
+        for workers in (1, 2):
+            pools.clear()
+            result = sweep(**kwargs, workers=workers)
+            opened.append(list(pools))
+            hexes.append([v.hex() for column in (result.mc_mean, result.mc_min, result.mc_max,
+                                                 result.mc_smoothed) for v in column])
+        assert opened == [[2] * 6, [2]]
+        assert hexes[0] == hexes[1]
+
 
 class TestSweep:
     def small(self, **overrides):

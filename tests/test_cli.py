@@ -720,22 +720,44 @@ class TestOptions:
         assert not (tmp_path / "out").exists()
 
     def test_help_names_every_command(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == EXIT_OK
-        out = capsys.readouterr().out
-        for command in PRINTING + ["sweep"]:
-            assert command in out
+        # The help text also names every option, under either flag.
+        for flag in ("--help", "-h"):
+            with pytest.raises(SystemExit) as exc:
+                main([flag])
+            assert exc.value.code == EXIT_OK
+            out = capsys.readouterr().out
+            for name in PRINTING + ["sweep", "--config", "--seed", "--out", "--svg", "--no-svg",
+                                    "--format"]:
+                assert name in out
 
-    def test_import_builds_no_parser(self):
-        # The parser is built on the first call of main, so importing the
-        # module does not pay for it.
-        code = "import teleport_sr.cli as cli; print(cli._parser.cache_info().currsize)"
-        package_root = os.path.dirname(os.path.dirname(teleport_sr.__file__))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              cwd=package_root)
-        assert proc.returncode == 0
-        assert proc.stdout == "0\n"
+    # Each line is malformed, so it exits 2 before the config is read; "--conf"
+    # is refused as an abbreviation.
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--config", "{config}"], id="no-command"),
+        pytest.param(["probs"], id="no-config"),
+        pytest.param(["weights", "--config", "{config}"], id="unknown-command"),
+        pytest.param(["probs", "optimum", "--config", "{config}"], id="second-command"),
+        pytest.param(["probs", "--config"], id="option-without-value"),
+        pytest.param(["probs", "--config", "--seed", "3"], id="option-before-option"),
+        pytest.param(["probs", "--config", "{config}", "--seed", "x"], id="seed-not-int"),
+        pytest.param(["probs", "--config", "{config}", "--format", "xml"], id="format-xml"),
+        pytest.param(["probs", "--conf", "{config}"], id="abbreviation"),
+    ])
+    def test_malformed_line_exits_2(self, capsys, config_path, argv):
+        path = config_path(base_config())
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(config=path) for arg in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_CONFIG
+        assert captured.out == ""
+        assert "teleport-sr: error: " in captured.err
+
+    def test_equals_form_prints_the_same_bytes(self, capsys, config_path):
+        path = config_path(base_config())
+        spaced = run_cli(capsys, ["simulate", "--config", path, "--seed", "3"])
+        joined = run_cli(capsys, ["simulate", f"--config={path}", "--seed=3"])
+        assert spaced[0] == EXIT_OK
+        assert joined == spaced
 
 
 # Runs each argv list through ``main`` in a fresh interpreter and prints the
@@ -800,6 +822,19 @@ class TestImportFootprint:
         loaded = self.sweep_footprint(config_path, tmp_path, "1")
         assert "_hashlib" in loaded
         assert "concurrent.futures" not in loaded
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_no_command_loads_argparse(self, config_path, tmp_path, threads):
+        # The command line is parsed by hand: argparse imports gettext, and
+        # building its parser imports locale.
+        raw = base_config()
+        raw["sweep"].update(runs=1, trials=10)
+        path = config_path(raw)
+        runs = [[command, "--config", path] for command in PRINTING]
+        runs.append(["sweep", "--config", path, "--out", str(tmp_path / "out")])
+        result = footprint(runs, threads)
+        assert result["codes"] == [EXIT_OK] * len(runs)
+        assert {"argparse", "gettext", "locale"}.isdisjoint(result["loaded"])
 
     @pytest.mark.parametrize("trials", [analysis._BLOCK, analysis._BLOCK + 1,
                                         2 * analysis._BLOCK])
